@@ -1,9 +1,9 @@
 GO ?= go
 
 # Packages with concurrent live-cluster paths; kept race-clean.
-RACE_PKGS = ./internal/httpd/... ./internal/httpmsg/... ./internal/loadd/... ./internal/live/... ./internal/retry/... ./internal/metrics/... ./internal/monitor/... ./internal/cache/... ./internal/flight/... ./internal/slo/... ./internal/heat/... ./internal/rebalance/...
+RACE_PKGS = ./internal/httpd/... ./internal/httpmsg/... ./internal/loadd/... ./internal/live/... ./internal/retry/... ./internal/metrics/... ./internal/monitor/... ./internal/cache/... ./internal/flight/... ./internal/slo/... ./internal/heat/... ./internal/rebalance/... ./internal/observe/...
 
-.PHONY: build test vet race fmt-check check bench bench-compare
+.PHONY: build test vet race stress fmt-check check bench bench-compare
 
 build:
 	$(GO) build ./...
@@ -17,14 +17,19 @@ vet:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
+# The live packages' tests read bookkeeping a server does after the
+# response flush; twenty back-to-back runs catch any test that races it.
+stress:
+	$(GO) test -count=20 ./internal/httpd/ ./internal/live/
+
 # gofmt prints nothing when everything is formatted; any output fails.
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# The CI gate: tier-1 build+test plus vet, formatting, and the race pass
-# over the concurrent packages.
-check: build vet fmt-check test race
+# The CI gate: tier-1 build+test plus vet, formatting, the race pass over
+# the concurrent packages, and the stress loop over the live packages.
+check: build vet fmt-check test race stress
 
 # Regenerate the paper's evaluation on the simulated substrate and archive
 # the headline metrics machine-readably. -benchtime=1x pins one DES run per

@@ -415,16 +415,6 @@ func RankSources(req Request, local, target int, loads []NodeLoad) []int {
 	return out
 }
 
-// PickSource returns RankSources' first choice — the node the document's
-// bytes should come from when req is served at target. Falls back to the
-// primary owner when the replica set is empty or out of range.
-func PickSource(req Request, local, target int, loads []NodeLoad) int {
-	if r := RankSources(req, local, target, loads); len(r) > 0 {
-		return r[0]
-	}
-	return req.Owner
-}
-
 // Choose implements Policy: minimum estimated completion time, with ties
 // broken in favor of the local node (avoiding a pointless redirection) and
 // then the lowest node id.

@@ -41,9 +41,6 @@ type Event struct {
 	index int // heap index, -1 once fired or cancelled
 }
 
-// At returns the instant the event is scheduled for.
-func (e *Event) At() Time { return e.at }
-
 type eventHeap []*Event
 
 func (h eventHeap) Len() int { return len(h) }

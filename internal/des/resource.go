@@ -54,12 +54,6 @@ func NewPSResource(sim *Simulator, name string, rate float64) *PSResource {
 	return &PSResource{sim: sim, name: name, rate: rate, jobs: make(map[*Job]struct{}), last: sim.Now()}
 }
 
-// Name returns the resource's diagnostic name.
-func (r *PSResource) Name() string { return r.name }
-
-// Rate returns the uncontended service rate.
-func (r *PSResource) Rate() float64 { return r.rate }
-
 // SetRate changes the service rate, first advancing all in-flight work at
 // the old rate. Used for dynamic degradation scenarios.
 func (r *PSResource) SetRate(rate float64) {

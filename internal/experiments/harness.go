@@ -58,17 +58,6 @@ func uniformStore(nodes, count int, size int64) (*storage.Store, []string) {
 	return st, paths
 }
 
-// nonUniformStore builds the Table 3 corpus: "sizes varying from short,
-// approximately 100 bytes, to relatively long, approximately 1.5MB", laid
-// out collection-per-disk the way the Alexandria library stores its maps
-// and images, so byte ownership is grossly uneven.
-func nonUniformStore(nodes, count int, seed int64) (*storage.Store, []string) {
-	st := storage.NewStore(nodes)
-	rng := rand.New(rand.NewSource(seed))
-	paths := storage.CollectionSet(st, count/nodes, 100, LargeFile, rng)
-	return st, paths
-}
-
 // adlStore builds the Table 3 document layout the way the Alexandria
 // library stores its data: metadata pages on nodes 0-1, browse thumbnails
 // on nodes 2-3, and full-resolution scenes on nodes 4-5. Returns the path

@@ -25,7 +25,9 @@ const (
 	NotableSlow  = "slow"
 )
 
-// Record is one request's black-box entry. Fields are plain values so a
+// Record is one request's black-box entry and the one record a request
+// leaves: the observer (internal/observe) derives the latency, drop,
+// prediction and heat accounting from it. Fields are plain values so a
 // record is a single copy in and a single copy out; durations are
 // seconds, with -1 meaning "not measured" (no byte ever written, no
 // prediction made, no target chosen).
@@ -39,20 +41,45 @@ type Record struct {
 	Bytes     int64   `json:"bytes"`
 	TraceID   string  `json:"trace_id,omitempty"`
 
-	// Decision summary.
-	Policy           string  `json:"policy,omitempty"`
-	Target           int     `json:"target"` // -1 when the broker never ran
-	Redirected       bool    `json:"redirected"`
-	CacheHit         bool    `json:"cache_hit"`
-	PredictedSeconds float64 `json:"predicted_seconds"` // broker t_s estimate, -1 none
+	// Decision summary, with the broker's full cost table when it ran.
+	Policy           string           `json:"policy,omitempty"`
+	Target           int              `json:"target"` // -1 when the broker never ran
+	Redirected       bool             `json:"redirected"`
+	CacheHit         bool             `json:"cache_hit"`
+	PredictedSeconds float64          `json:"predicted_seconds"` // broker t_s estimate, -1 none
+	Candidates       []AuditCandidate `json:"candidates,omitempty"`
 
 	// Phase timings.
 	ParseSeconds   float64 `json:"parse_seconds"`
 	AnalyzeSeconds float64 `json:"analyze_seconds"`
+	FulfillSeconds float64 `json:"fulfill_seconds"`
 	TTFBSeconds    float64 `json:"ttfb_seconds"` // -1 when no byte reached the wire
 	TotalSeconds   float64 `json:"total_seconds"`
 
+	// Outcome: the drop cause when the request was not served in full,
+	// and the document-heat inputs of a served one.
+	Drop       string `json:"drop,omitempty"`
+	Owner      int    `json:"owner"` // -1 when ownership does not apply (CGI, no document)
+	Replicas   int    `json:"replicas,omitempty"`
+	Relay      bool   `json:"relay,omitempty"`
+	Miss       bool   `json:"miss,omitempty"`
+	Introspect bool   `json:"introspect,omitempty"` // a /sweb/* request: kept out of the request accounting
+
 	Notable string `json:"notable,omitempty"` // "error", "slow", or ""
+}
+
+// AuditCandidate is one row of a recorded decision's cost table — a
+// core.CostBreakdown with its +Inf sentinel replaced by -1 so the record
+// survives encoding/json (which rejects infinities).
+type AuditCandidate struct {
+	Node            int     `json:"node"`
+	SourceNode      int     `json:"source_node"` // replica the data term priced
+	RedirectSeconds float64 `json:"redirect_seconds"`
+	DataSeconds     float64 `json:"data_seconds"`
+	CPUSeconds      float64 `json:"cpu_seconds"`
+	NetSeconds      float64 `json:"net_seconds"`
+	TotalSeconds    float64 `json:"total_seconds"` // -1 when infeasible
+	Infeasible      bool    `json:"infeasible"`
 }
 
 // Config sizes a Recorder. Zero values take the defaults; a negative

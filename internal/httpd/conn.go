@@ -50,6 +50,7 @@ type reqConn struct {
 	proto     string // response protocol version, echoing the request
 	keepAlive bool   // whether the connection survives the current response
 	served    int    // requests answered on this connection so far
+	drop      string // the current request's drop cause, "" while healthy
 }
 
 // connHeader renders the Connection header for the loop's current decision.
@@ -75,11 +76,17 @@ func (rc *reqConn) simple(code int, h httpmsg.Header, body []byte) error {
 	return err
 }
 
+// fault charges the current request an error with its drop cause, which
+// the request's record carries to the observer.
+func (rc *reqConn) fault(cause string) {
+	rc.s.errors.Add(1)
+	rc.drop = cause
+}
+
 // fail records a mid-response write failure. The response framing is now
 // indeterminate, so the connection cannot carry another request.
 func (rc *reqConn) fail() int {
-	rc.s.errors.Add(1)
-	rc.s.drop("write_failed")
+	rc.fault("write_failed")
 	rc.keepAlive = false
 	return 0
 }
@@ -102,14 +109,15 @@ func (s *Server) isDraining() bool {
 // TCP handshake once, which is exactly the saving the paper's t_redirection
 // term wants after a 302. Deadlines stay on the raw socket; responses go
 // through the write meter so every request leaves a flight record with an
-// honest time-to-first-byte.
-func (s *Server) serveConn(c net.Conn, ci *connInfo) {
+// honest time-to-first-byte. It reports whether the connection ended
+// mid-request rather than from the idle wait.
+func (s *Server) serveConn(c net.Conn, ci *connInfo) (busy bool) {
 	w := &writeMeter{Conn: c}
 	rc := &reqConn{s: s, c: w, meter: w, id: ci.id, br: bufio.NewReader(c), proto: "HTTP/1.0"}
 	defer func() {
 		// Requests-per-connection, observed once at connection end: the
-		// keep-alive amortization the PR 6 data plane bought.
-		s.nm.keepAliveServed(float64(rc.served))
+		// keep-alive amortization the persistent-connection data plane bought.
+		s.kaServed.Observe(float64(rc.served))
 	}()
 	for {
 		// Idle wait: the peer may keep the connection open up to
@@ -123,41 +131,49 @@ func (s *Server) serveConn(c net.Conn, ci *connInfo) {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() && !s.isDraining() {
 				s.idleReaped.Add(1)
 			}
-			return
+			return false
 		}
+		s.busyAdd(1)
 		w.reset()
+		rc.drop = ""
 		t0 := time.Now()
 		_ = c.SetReadDeadline(t0.Add(connTimeout))
 		req, err := httpmsg.ReadRequest(rc.br)
+		var fl flight.Record
+		ok := true
 		if err != nil {
 			rc.keepAlive = false
-			s.errors.Add(1)
+			rc.fault("bad_request")
 			s.badRequests.Add(1)
-			s.drop("bad_request")
 			_ = c.SetWriteDeadline(time.Now().Add(connTimeout))
 			_ = rc.simple(httpmsg.StatusBadRequest, nil,
 				httpmsg.ErrorBody(httpmsg.StatusBadRequest, err.Error()))
 			s.logAccess(c, nil, httpmsg.StatusBadRequest, -1)
-			s.flightAdd(rc, flight.Record{Path: "(unparsed)"}, t0, httpmsg.StatusBadRequest)
-			return
+			fl = flight.Record{Path: "(unparsed)", Status: httpmsg.StatusBadRequest,
+				Target: -1, Owner: -1, PredictedSeconds: -1}
+		} else {
+			rc.served++
+			ci.served.Add(1)
+			rc.proto = "HTTP/1.0"
+			if req.Proto == "HTTP/1.1" {
+				rc.proto = "HTTP/1.1"
+			}
+			rc.keepAlive = !s.cfg.KeepAliveOff && req.KeepAlive() &&
+				(s.cfg.KeepAliveMax <= 0 || rc.served < s.cfg.KeepAliveMax) &&
+				!s.isDraining()
+			_ = c.SetWriteDeadline(time.Now().Add(connTimeout))
+			s.reqActive.Add(1)
+			ci.active.Store(true)
+			fl, ok = s.handle(rc, req, t0)
+			ci.active.Store(false)
+			s.reqActive.Add(-1)
 		}
-		rc.served++
-		ci.served.Add(1)
-		rc.proto = "HTTP/1.0"
-		if req.Proto == "HTTP/1.1" {
-			rc.proto = "HTTP/1.1"
+		if ok {
+			s.finish(rc, fl, t0)
 		}
-		rc.keepAlive = !s.cfg.KeepAliveOff && req.KeepAlive() &&
-			(s.cfg.KeepAliveMax <= 0 || rc.served < s.cfg.KeepAliveMax) &&
-			!s.isDraining()
-		_ = c.SetWriteDeadline(time.Now().Add(connTimeout))
-		s.reqActive.Add(1)
-		ci.active.Store(true)
-		s.handle(rc, req, t0)
-		ci.active.Store(false)
-		s.reqActive.Add(-1)
 		if !rc.keepAlive || s.isDraining() {
-			return
+			return true
 		}
+		s.busyAdd(-1)
 	}
 }

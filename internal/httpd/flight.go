@@ -16,37 +16,10 @@ import (
 // needs and enough to dominate the bundle size.
 const flightTraceTail = 4096
 
-// flightAdd fills the per-connection and timing fields of a flight record
-// and appends it — the single funnel every request path exits through.
-// Nil-safe via the recorder: with the recorder off this is a nil check.
-func (s *Server) flightAdd(rc *reqConn, fl flight.Record, t0 time.Time, status int) {
-	if s.flight == nil {
-		return
-	}
-	fl.Node = s.cfg.ID
-	fl.ConnID = rc.id
-	fl.AtSeconds = s.sinceEpoch(t0)
-	fl.Status = status
-	fl.TotalSeconds = time.Since(t0).Seconds()
-	fl.Bytes = rc.meter.written
-	fl.TTFBSeconds = -1
-	if !rc.meter.firstWrite.IsZero() {
-		fl.TTFBSeconds = rc.meter.firstWrite.Sub(t0).Seconds()
-	}
-	if fl.PredictedSeconds == 0 {
-		fl.PredictedSeconds = -1
-	}
-	s.flight.Add(fl)
-}
-
-// FlightRecorder exposes the node's flight recorder (nil when disabled)
-// for tests and in-process scrapers.
-func (s *Server) FlightRecorder() *flight.Recorder { return s.flight }
-
 // FlightDump snapshots the flight rings with the node identity and epoch
 // filled in — the /sweb/flight payload.
 func (s *Server) FlightDump() flight.Dump {
-	d := s.flight.Dump()
+	d := s.obs.Flight().Dump()
 	d.Node = s.cfg.ID
 	d.EpochUnix = float64(s.epoch.UnixNano()) / 1e9
 	return d
@@ -104,7 +77,7 @@ func (s *Server) SnapshotState() flight.NodeState {
 	ns := flight.NodeState{Name: nodeName(s.cfg.ID), Flight: s.FlightDump(),
 		Heat: s.HeatDump(), Conns: s.ConnTable()}
 	var buf bytes.Buffer
-	if err := s.nm.reg.WriteText(&buf); err == nil {
+	if err := s.obs.Registry().WriteText(&buf); err == nil {
 		ns.Metrics = append([]byte(nil), buf.Bytes()...)
 	}
 	if b, err := json.MarshalIndent(s.StatusReport(), "", "  "); err == nil {

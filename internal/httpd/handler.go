@@ -17,8 +17,8 @@ import (
 	"sweb/internal/cache"
 	"sweb/internal/core"
 	"sweb/internal/flight"
-	"sweb/internal/heat"
 	"sweb/internal/httpmsg"
+	"sweb/internal/observe"
 	"sweb/internal/retry"
 	"sweb/internal/storage"
 	"sweb/internal/trace"
@@ -84,11 +84,8 @@ func (s *Server) acceptLoop() {
 			// a separate goroutine with a write deadline so one slow or
 			// absent reader can never stall the accept loop.
 			s.refused.Add(1)
-			s.drop("shed")
-			s.nm.event(trace.EvRefused)
-			if rec := s.cfg.Trace; rec.Enabled() {
-				rec.Record(rec.NewRequest(), s.nowSec(), trace.EvRefused, s.cfg.ID, "reason=capacity")
-			}
+			s.obs.Drop("shed")
+			s.obs.Event(trace.EvRefused, s.cfg.Trace.NewRequest(), s.nowSec(), "reason=capacity", "")
 			s.wg.Add(1)
 			go func(c net.Conn) {
 				defer s.wg.Done()
@@ -108,11 +105,11 @@ func (s *Server) acceptLoop() {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			defer s.inflight.Add(-1)
-			defer conn.Close()
 			ci := s.trackConn(conn)
-			defer s.untrackConn(conn)
-			s.serveConn(conn, ci)
+			busy := s.serveConn(conn, ci)
+			s.untrackConn(conn)
+			conn.Close()
+			s.connDone(busy)
 		}()
 	}
 }
@@ -148,22 +145,24 @@ func (s *Server) logAccess(conn net.Conn, req *httpmsg.Request, status int, byte
 }
 
 // handle runs the four-phase lifecycle for one parsed request, timing each
-// phase and emitting the same trace events the simulator does. t0 is the
-// moment the request's first byte arrived (phase 1, preprocess, is the
-// parse the serve loop already ran). Internal fetches stay invisible to
-// trace and the lifecycle metrics: they are the tail of another node's
-// fetch-nfs span, not requests of their own.
-func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time) {
+// phase and emitting the same events the simulator does, and returns the
+// request's record for the serve loop to finalize. t0 is the moment the
+// request's first byte arrived (phase 1, preprocess, is the parse the
+// serve loop already ran). Internal fetches return ok=false: they are the
+// tail of another node's fetch-nfs span, not requests of their own, so
+// they stay invisible to trace and the lifecycle accounting.
+func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time) (fl flight.Record, ok bool) {
 	tParsed := time.Now()
 	internal := req.Header.Get(internalHeader) != ""
+	fl = flight.Record{Path: req.Path, Target: -1, Owner: -1, PredictedSeconds: -1}
 
 	// Introspection is answered right where it arrived, like internal
 	// fetches: rescheduling /sweb/status would report the wrong node.
 	if !internal && !s.cfg.DisableIntrospection && strings.HasPrefix(req.Path, introspectPrefix) {
 		s.introspect.Add(1)
-		status := s.serveIntrospection(rc, req)
-		s.flightAdd(rc, flight.Record{Path: req.Path, Target: -1}, t0, status)
-		return
+		fl.Introspect = true
+		fl.Status = s.serveIntrospection(rc, req)
+		return fl, true
 	}
 
 	redirects := parseRedirectCount(req.Query)
@@ -171,53 +170,37 @@ func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time) {
 	rec := s.cfg.Trace
 	tid := int64(-1)
 	if !internal {
-		if rec.Enabled() {
-			// Joining an inbound trace context keeps every hop of a
-			// redirected request under one trace id; without one, this
-			// node originates the trace.
-			tid, tctx = rec.Begin(tctx)
-			connDetail := ""
-			if redirects > 0 {
-				connDetail = fmt.Sprintf("hop=%d", redirects)
-			}
-			rec.Record(tid, s.sinceEpoch(t0), trace.EvConnected, s.cfg.ID, connDetail)
-			rec.Record(tid, s.sinceEpoch(tParsed), trace.EvParsed, s.cfg.ID, "path="+req.Path)
+		// Joining an inbound trace context keeps every hop of a redirected
+		// request under one trace id; without one, this node originates
+		// the trace.
+		tid, tctx = rec.Begin(tctx)
+		if redirects > 0 {
+			s.obs.EventN(trace.EvConnected, tid, s.sinceEpoch(t0), "hop=", redirects)
+		} else {
+			s.obs.Event(trace.EvConnected, tid, s.sinceEpoch(t0), "", "")
 		}
-		s.nm.event(trace.EvConnected)
-		s.nm.event(trace.EvParsed)
-		s.nm.phase("parse", tParsed.Sub(t0).Seconds())
+		s.obs.Event(trace.EvParsed, tid, s.sinceEpoch(tParsed), "path=", req.Path)
+		s.obs.Phase(observe.PhaseParse, tParsed.Sub(t0).Seconds())
 		if hopSentMicros > 0 {
 			// The 302 carried its send time: the gap to this connection is
 			// the measured t_redirection of the paper's cost model.
-			hop := float64(t0.UnixMicro()-hopSentMicros) / 1e6
-			if hop < 0 {
-				hop = 0
-			}
-			s.nm.phase("redirect_hop", hop)
+			s.obs.Phase(observe.PhaseRedirectHop, math.Max(0, float64(t0.UnixMicro()-hopSentMicros)/1e6))
 		}
+		fl.TraceID = string(tctx)
+		fl.Redirected = redirects > 0
+		fl.ParseSeconds = tParsed.Sub(t0).Seconds()
 	}
 
 	cgiFn, isCGI := s.cgiFor(req.Path)
 	file, found := s.cfg.Store.Lookup(req.Path)
 	if !found && !isCGI {
-		s.errors.Add(1)
+		rc.fault("not_found")
 		s.notFound.Add(1)
-		if !internal {
-			s.drop("not_found")
-		}
 		_ = rc.simple(httpmsg.StatusNotFound, nil,
 			httpmsg.ErrorBody(httpmsg.StatusNotFound, "The requested URL was not found on this server."))
 		s.logAccess(rc.c, req, httpmsg.StatusNotFound, -1)
-		if !internal {
-			s.flightAdd(rc, flight.Record{
-				Path:         req.Path,
-				TraceID:      string(tctx),
-				Target:       -1,
-				Redirected:   redirects > 0,
-				ParseSeconds: tParsed.Sub(t0).Seconds(),
-			}, t0, httpmsg.StatusNotFound)
-		}
-		return
+		fl.Status = httpmsg.StatusNotFound
+		return fl, !internal
 	}
 
 	// Internal fetches bypass scheduling entirely: we are the NFS server.
@@ -231,20 +214,16 @@ func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time) {
 			rec.Record(jid, s.sinceEpoch(time.Now()), trace.EvFetchLocal, s.cfg.ID, "internal=1")
 		}
 		s.serveLocalFile(rc, req, file)
-		return
+		return fl, false
 	}
 
-	// CGI and POST are pinned where they arrived (Sec. 3.2 step 2; POST
-	// handling is the paper's footnote-1 extension).
-	pinned := isCGI || req.Method == "POST"
-
-	// Phase 2: analyze — the broker picks the best node.
-	var dec core.Decision
-	scheduled := false
+	// Phase 2: analyze — the broker picks the best node. CGI and POST are
+	// pinned where they arrived (Sec. 3.2 step 2; POST handling is the
+	// paper's footnote-1 extension).
 	tAnalyzed := tParsed
-	if !pinned {
+	if !isCGI && req.Method != "POST" {
 		d := s.cfg.Oracle.Characterize(req.Path)
-		coreReq := core.Request{
+		dec := s.cfg.Policy.Choose(core.Request{
 			Path:          req.Path,
 			Size:          file.Size,
 			Owner:         file.Owner,
@@ -254,78 +233,22 @@ func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time) {
 			Arrived:       s.cfg.ID,
 			RedirectCount: redirects,
 			CachedLocal:   s.cachedLocally(req.Path),
-		}
-		loads := s.snapshotLoads()
-		dec = s.cfg.Policy.Choose(coreReq, s.cfg.ID, loads)
-		scheduled = true
+		}, s.cfg.ID, s.snapshotLoads())
 		target := s.confirmTarget(dec)
 		tAnalyzed = time.Now()
-		s.nm.event(trace.EvAnalyzed)
-		s.nm.phase("analyze", tAnalyzed.Sub(tParsed).Seconds())
-		rec.Record(tid, s.sinceEpoch(tAnalyzed), trace.EvAnalyzed, s.cfg.ID,
-			fmt.Sprintf("target=%d", target))
+		fl.Policy = s.cfg.Policy.Name()
+		fl.Target = s.cfg.ID
+		fl.PredictedSeconds = observe.Finite(dec.Estimate)
+		fl.Candidates = observe.CostTable(dec.Candidates)
+		fl.AnalyzeSeconds = tAnalyzed.Sub(tParsed).Seconds()
+		s.obs.EventN(trace.EvAnalyzed, tid, s.sinceEpoch(tAnalyzed), "target=", target)
+		s.obs.Phase(observe.PhaseAnalyze, fl.AnalyzeSeconds)
 		if target != s.cfg.ID {
 			if peer, ok := s.peerByID(target); ok {
-				// Phase 3: redirect via a 302 with the bumped URL,
-				// preserving the client's own query parameters and
-				// threading the trace context (stamped with the send
-				// time, so the target measures the hop).
-				loc := redirectLocation(peer.HTTPAddr, req.Path, req.Query, redirects,
-					formatTraceContext(tctx, time.Now().UnixMicro()))
-				h := httpmsg.Header{}
-				h.Set("Location", loc)
-				err := rc.simple(httpmsg.StatusMovedTemporarily, h,
-					httpmsg.ErrorBody(httpmsg.StatusMovedTemporarily,
-						`The document has moved <A HREF="`+loc+`">here</A>.`))
-				if err != nil {
-					// The client never saw the 302, so no request is on
-					// its way to the peer: inflating its load view would
-					// only skew later decisions.
-					s.errors.Add(1)
-					s.drop("write_failed")
-					s.flightAdd(rc, flight.Record{
-						Path:             req.Path,
-						TraceID:          string(tctx),
-						Policy:           s.cfg.Policy.Name(),
-						Target:           target,
-						PredictedSeconds: sanitizeSeconds(dec.Estimate),
-						ParseSeconds:     tParsed.Sub(t0).Seconds(),
-						AnalyzeSeconds:   tAnalyzed.Sub(tParsed).Seconds(),
-					}, t0, 0)
-					return
-				}
-				tSent := time.Now()
-				s.table.Bump(target)
-				s.redirected.Add(1)
-				s.nm.event(trace.EvRedirected)
-				s.nm.redirect(target)
-				s.nm.phase("redirect", tSent.Sub(tAnalyzed).Seconds())
-				rec.Record(tid, s.sinceEpoch(tSent), trace.EvRedirected, s.cfg.ID,
-					fmt.Sprintf("to=%d", target))
-				s.audit.add(DecisionAudit{
-					AtSeconds:        s.sinceEpoch(t0),
-					Path:             req.Path,
-					Policy:           s.cfg.Policy.Name(),
-					Target:           target,
-					Redirected:       true,
-					PredictedSeconds: sanitizeSeconds(dec.Estimate),
-					ActualSeconds:    -1, // fulfilled by the target node
-					ParseSeconds:     tParsed.Sub(t0).Seconds(),
-					AnalyzeSeconds:   tAnalyzed.Sub(tParsed).Seconds(),
-					Candidates:       sanitizeCandidates(dec.Candidates),
-				})
-				s.logAccess(rc.c, req, httpmsg.StatusMovedTemporarily, -1)
-				s.flightAdd(rc, flight.Record{
-					Path:             req.Path,
-					TraceID:          string(tctx),
-					Policy:           s.cfg.Policy.Name(),
-					Target:           target,
-					Redirected:       true,
-					PredictedSeconds: sanitizeSeconds(dec.Estimate),
-					ParseSeconds:     tParsed.Sub(t0).Seconds(),
-					AnalyzeSeconds:   tAnalyzed.Sub(tParsed).Seconds(),
-				}, t0, httpmsg.StatusMovedTemporarily)
-				return
+				fl.Target = target
+				fl.Status = s.redirect(rc, req, peer, redirects, tctx, tid, tAnalyzed)
+				fl.Redirected = fl.Redirected || fl.Status > 0
+				return fl, true
 			}
 		}
 	}
@@ -336,114 +259,76 @@ func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time) {
 	// as the simulator does for cached remote documents), a miss falls
 	// through to the disk or the owner and fills the cache on the way out.
 	tFulfill := time.Now()
-	var status int
+	at := s.sinceEpoch(tFulfill)
+	phase := observe.PhaseFetchLocal
 	var hot cache.Entry
-	cacheHit := false
 	if !isCGI && s.cache != nil {
-		hot, cacheHit = s.cache.Lookup(req.Path, s.entryCheck(req.Path, file))
+		hot, fl.CacheHit = s.cache.Lookup(req.Path, s.entryCheck(req.Path, file))
 	}
 	switch {
 	case isCGI:
-		s.nm.event(trace.EvCGI)
-		rec.Record(tid, s.sinceEpoch(tFulfill), trace.EvCGI, s.cfg.ID, "path="+req.Path)
-		status = s.serveCGI(rc, req, cgiFn)
-		s.nm.phase("cgi", time.Since(tFulfill).Seconds())
-	case cacheHit:
+		phase = observe.PhaseCGI
+		s.obs.Event(trace.EvCGI, tid, at, "path=", req.Path)
+		fl.Status = s.serveCGI(rc, req, cgiFn)
+	case fl.CacheHit:
 		// Hot-file hit: a memory copy — no disk read, and for a foreign
 		// document no owner round-trip either, which keeps the document
 		// serving even while its owner is dead.
-		s.nm.event(trace.EvFetchLocal)
-		rec.Record(tid, s.sinceEpoch(tFulfill), trace.EvFetchLocal, s.cfg.ID, "cache=hit")
-		status = s.writeEntry(rc, req, hot)
-		s.nm.phase("fetch_local", time.Since(tFulfill).Seconds())
+		s.obs.Event(trace.EvFetchLocal, tid, at, "cache=hit", "")
+		fl.Status = s.writeEntry(rc, req, hot)
 	case file.HasReplica(s.cfg.ID):
-		s.nm.event(trace.EvFetchLocal)
-		rec.Record(tid, s.sinceEpoch(tFulfill), trace.EvFetchLocal, s.cfg.ID, "")
-		status = s.serveLocalFile(rc, req, file)
-		s.nm.phase("fetch_local", time.Since(tFulfill).Seconds())
+		s.obs.Event(trace.EvFetchLocal, tid, at, "", "")
+		fl.Status = s.serveLocalFile(rc, req, file)
 	default:
-		s.nm.event(trace.EvFetchNFS)
-		rec.Record(tid, s.sinceEpoch(tFulfill), trace.EvFetchNFS, s.cfg.ID,
-			fmt.Sprintf("owner=%d", file.Owner))
-		status = s.serveRemoteFile(rc, req, file, tctx)
-		s.nm.phase("fetch_nfs", time.Since(tFulfill).Seconds())
+		phase = observe.PhaseFetchNFS
+		fl.Relay = true
+		s.obs.EventN(trace.EvFetchNFS, tid, at, "owner=", file.Owner)
+		fl.Status = s.serveRemoteFile(rc, req, file, tctx)
 	}
 	done := time.Now()
-	if status > 0 {
-		s.nm.event(trace.EvSent)
-		rec.Record(tid, s.sinceEpoch(done), trace.EvSent, s.cfg.ID,
-			"status="+strconv.Itoa(status))
+	fl.FulfillSeconds = done.Sub(tFulfill).Seconds()
+	s.obs.Phase(phase, fl.FulfillSeconds)
+	if fl.Status > 0 {
+		s.obs.EventN(trace.EvSent, tid, s.sinceEpoch(done), "status=", fl.Status)
 	}
-	total := done.Sub(t0).Seconds()
-	if status == httpmsg.StatusOK || status == httpmsg.StatusNotModified {
-		// Only successful service counts toward the latency families: every
-		// phase-4 failure pairs with a sweb_drops_total cause, so the SLO
-		// engine reads successes here and errors there with no overlap — and
-		// a fast 503 can never pass for a good response time. The trace id
-		// rides along as the bucket's exemplar, linking an SLO breach to the
-		// concrete flight record that burned the budget.
-		exID := string(tctx)
-		if s.cfg.ExemplarOff {
-			exID = ""
-		}
-		s.nm.response.ObserveExemplar(total, exID, done.UnixMicro())
-		if fb := rc.meter.firstWrite; !fb.IsZero() {
-			s.nm.ttfb.ObserveExemplar(fb.Sub(t0).Seconds(), exID, done.UnixMicro())
-		}
-		// Document-heat telemetry counts fulfilled serves only — the same
-		// event the simulator's complete() observes, so both substrates
-		// fill identical sketches for the same workload.
-		owner := -1
-		if !isCGI {
-			owner = file.Owner
-		}
-		s.heatObserve(heat.Observation{
-			Path:    req.Path,
-			Owner:   owner,
-			Bytes:   rc.meter.written,
-			Relay:   !isCGI && !cacheHit && !file.HasReplica(s.cfg.ID),
-			Miss:    !isCGI && s.cache != nil && !cacheHit,
-			Seconds: total,
-		}, len(file.ReplicaSet()))
+	// The document-heat inputs: the same fields the simulator's complete()
+	// fills, so both substrates feed identical sketches.
+	if !isCGI {
+		fl.Owner = file.Owner
+		fl.Miss = s.cache != nil && !fl.CacheHit
 	}
+	fl.Replicas = len(file.ReplicaSet())
+	return fl, true
+}
 
-	fl := flight.Record{
-		Path:             req.Path,
-		TraceID:          string(tctx),
-		Target:           -1,
-		Redirected:       redirects > 0,
-		CacheHit:         cacheHit,
-		PredictedSeconds: -1,
-		ParseSeconds:     tParsed.Sub(t0).Seconds(),
-		AnalyzeSeconds:   tAnalyzed.Sub(tParsed).Seconds(),
+// redirect is phase 3: a 302 to peer with the bumped URL, preserving the
+// client's own query parameters and threading the trace context. The send
+// time is taken once, before the write: the swebt stamp the target
+// measures the hop from, the redirected event and the redirect phase all
+// carry that one instant, so the target's events can never precede it.
+// They are emitted only once the write succeeded; it returns the status
+// written (0 when the client never saw the 302).
+func (s *Server) redirect(rc *reqConn, req *httpmsg.Request, peer Peer, redirects int,
+	tctx trace.TraceID, tid int64, tAnalyzed time.Time) int {
+	tSent := time.Now()
+	loc := redirectLocation(peer.HTTPAddr, req.Path, req.Query, redirects,
+		formatTraceContext(tctx, tSent.UnixMicro()))
+	h := httpmsg.Header{}
+	h.Set("Location", loc)
+	if err := rc.simple(httpmsg.StatusMovedTemporarily, h,
+		httpmsg.ErrorBody(httpmsg.StatusMovedTemporarily,
+			`The document has moved <A HREF="`+loc+`">here</A>.`)); err != nil {
+		// No request is on its way to the peer: inflating its load view
+		// would only skew later decisions.
+		rc.fault("write_failed")
+		return 0
 	}
-	if scheduled {
-		fl.Policy = s.cfg.Policy.Name()
-		fl.Target = s.cfg.ID
-		fl.PredictedSeconds = sanitizeSeconds(dec.Estimate)
-	}
-	s.flightAdd(rc, fl, t0, status)
-
-	if scheduled {
-		a := DecisionAudit{
-			AtSeconds:        s.sinceEpoch(t0),
-			Path:             req.Path,
-			Policy:           s.cfg.Policy.Name(),
-			Target:           s.cfg.ID,
-			PredictedSeconds: sanitizeSeconds(dec.Estimate),
-			ActualSeconds:    total,
-			ParseSeconds:     tParsed.Sub(t0).Seconds(),
-			AnalyzeSeconds:   tAnalyzed.Sub(tParsed).Seconds(),
-			FulfillSeconds:   done.Sub(tFulfill).Seconds(),
-			Candidates:       sanitizeCandidates(dec.Candidates),
-		}
-		s.audit.add(a)
-		// Compare prediction to reality only for clean local service: an
-		// error path measures the failure handling, not t_s.
-		if status == httpmsg.StatusOK || status == httpmsg.StatusNotModified {
-			s.recordPrediction(dec, a)
-		}
-	}
+	s.table.Bump(peer.ID)
+	s.redirected.Add(1)
+	s.obs.EventN(trace.EvRedirected, tid, s.sinceEpoch(tSent), "to=", peer.ID)
+	s.obs.Phase(observe.PhaseRedirect, tSent.Sub(tAnalyzed).Seconds())
+	s.logAccess(rc.c, req, httpmsg.StatusMovedTemporarily, -1)
+	return httpmsg.StatusMovedTemporarily
 }
 
 // confirmTarget re-validates the broker's pick against the freshest peer
@@ -655,16 +540,36 @@ func (s *Server) serveLocalFile(rc *reqConn, req *httpmsg.Request, file storage.
 		return s.readLocalFile(req.Path)
 	})
 	if err != nil {
-		s.errors.Add(1)
-		s.drop("local_io")
-		code := httpmsg.StatusNotFound
-		if os.IsPermission(err) {
-			code = httpmsg.StatusForbidden
-		}
-		_ = rc.simple(code, nil, httpmsg.ErrorBody(code, "Cannot open document."))
-		return code
+		return s.openFailed(rc, err)
 	}
 	return s.writeEntry(rc, req, ent)
+}
+
+// openFailed answers a document the docroot could not open: 403 for a
+// permission error, 404 otherwise.
+func (s *Server) openFailed(rc *reqConn, err error) int {
+	rc.fault("local_io")
+	code := httpmsg.StatusNotFound
+	if os.IsPermission(err) {
+		code = httpmsg.StatusForbidden
+	}
+	_ = rc.simple(code, nil, httpmsg.ErrorBody(code, "Cannot open document."))
+	return code
+}
+
+// notModified answers a conditional GET whose document is unchanged.
+func (s *Server) notModified(rc *reqConn, req *httpmsg.Request, lastModified string) int {
+	h := httpmsg.Header{}
+	if lastModified != "" {
+		h.Set("Last-Modified", lastModified)
+	}
+	if rc.simple(httpmsg.StatusNotModified, h, nil) != nil {
+		rc.fault("write_failed")
+		return 0
+	}
+	s.served.Add(1)
+	s.logAccess(rc.c, req, httpmsg.StatusNotModified, -1)
+	return httpmsg.StatusNotModified
 }
 
 // readLocalFile is the cache's backing read: the whole document in one
@@ -692,12 +597,7 @@ func (s *Server) readLocalFile(path string) (cache.Entry, error) {
 // diskActive — the whole point of the hit path.
 func (s *Server) writeEntry(rc *reqConn, req *httpmsg.Request, ent cache.Entry) int {
 	if !ent.ModTime.IsZero() && httpmsg.NotModified(req.Header.Get("If-Modified-Since"), ent.ModTime) {
-		h := httpmsg.Header{}
-		h.Set("Last-Modified", httpmsg.FormatHTTPDate(ent.ModTime))
-		_ = rc.simple(httpmsg.StatusNotModified, h, nil)
-		s.served.Add(1)
-		s.logAccess(rc.c, req, httpmsg.StatusNotModified, -1)
-		return httpmsg.StatusNotModified
+		return s.notModified(rc, req, httpmsg.FormatHTTPDate(ent.ModTime))
 	}
 	return s.streamResponse(rc, req, int64(len(ent.Body)), bytes.NewReader(ent.Body), ent.ModTime)
 }
@@ -712,20 +612,12 @@ func (s *Server) streamLocalFile(rc *reqConn, req *httpmsg.Request) int {
 	defer s.diskActive.Add(-1)
 	f, err := os.Open(s.localPath(req.Path))
 	if err != nil {
-		s.errors.Add(1)
-		s.drop("local_io")
-		code := httpmsg.StatusNotFound
-		if os.IsPermission(err) {
-			code = httpmsg.StatusForbidden
-		}
-		_ = rc.simple(code, nil, httpmsg.ErrorBody(code, "Cannot open document."))
-		return code
+		return s.openFailed(rc, err)
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		s.errors.Add(1)
-		s.drop("local_io")
+		rc.fault("local_io")
 		_ = rc.simple(httpmsg.StatusInternalServerError, nil,
 			httpmsg.ErrorBody(httpmsg.StatusInternalServerError, "stat failed"))
 		return httpmsg.StatusInternalServerError
@@ -734,12 +626,7 @@ func (s *Server) streamLocalFile(rc *reqConn, req *httpmsg.Request) int {
 	// sends If-Modified-Since and gets a body-less 304 if the document is
 	// unchanged — the cheapest response the 1996 server knows.
 	if httpmsg.NotModified(req.Header.Get("If-Modified-Since"), fi.ModTime()) {
-		h := httpmsg.Header{}
-		h.Set("Last-Modified", httpmsg.FormatHTTPDate(fi.ModTime()))
-		_ = rc.simple(httpmsg.StatusNotModified, h, nil)
-		s.served.Add(1)
-		s.logAccess(rc.c, req, httpmsg.StatusNotModified, -1)
-		return httpmsg.StatusNotModified
+		return s.notModified(rc, req, httpmsg.FormatHTTPDate(fi.ModTime()))
 	}
 	// The body streams straight from the open *os.File through a pooled
 	// copy buffer — the document is never materialized in one allocation.
@@ -762,8 +649,7 @@ func (s *Server) streamLocalFile(rc *reqConn, req *httpmsg.Request) int {
 func (s *Server) serveRemoteFile(rc *reqConn, req *httpmsg.Request, file storage.File, tctx trace.TraceID) int {
 	sources := s.rankedSources(req.Path, file)
 	if len(sources) == 0 {
-		s.errors.Add(1)
-		s.drop("owner_unknown")
+		rc.fault("owner_unknown")
 		_ = rc.simple(httpmsg.StatusInternalServerError, nil,
 			httpmsg.ErrorBody(httpmsg.StatusInternalServerError, "owner unknown"))
 		return httpmsg.StatusInternalServerError
@@ -814,9 +700,8 @@ func (s *Server) rankedSources(path string, file storage.File) []fetchSource {
 // degrade503 answers the degradation ladder's last rung: the owner stayed
 // unreachable through the whole retry budget.
 func (s *Server) degrade503(rc *reqConn, req *httpmsg.Request) int {
-	s.errors.Add(1)
+	rc.fault("owner_unreachable")
 	s.fetchFailed.Add(1)
-	s.drop("owner_unreachable")
 	h := httpmsg.Header{}
 	h.Set("Retry-After", s.retryAfterSeconds())
 	_ = rc.simple(httpmsg.StatusServiceUnavailable, h,
@@ -835,7 +720,7 @@ func (s *Server) serveCGI(rc *reqConn, req *httpmsg.Request, fn CGIFunc) int {
 	h := httpmsg.Header{}
 	h.Set("Content-Type", ctype)
 	if err := rc.simple(httpmsg.StatusOK, h, body); err != nil {
-		s.drop("write_failed")
+		rc.fault("write_failed")
 		return 0
 	}
 	s.served.Add(1)

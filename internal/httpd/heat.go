@@ -1,38 +1,11 @@
 package httpd
 
-import (
-	"sweb/internal/heat"
-	"sweb/internal/metrics"
-)
-
-// heatObserve folds one fulfilled request into the document-heat sketch
-// and bumps the per-path metric counters the monitor's hot_doc rule
-// windows, plus the replica-set-size gauge the rule divides by — so
-// replicating a hot document clears the alert without the load having to
-// flatten. Nil-safe via the sketch: with heat off this is a nil check.
-func (s *Server) heatObserve(o heat.Observation, replicas int) {
-	if s.heat == nil {
-		return
-	}
-	s.heat.Observe(o)
-	s.nm.reg.Counter(mHeatRequests, "served requests per document path",
-		metrics.Labels{"path": o.Path}).Inc()
-	if o.Relay {
-		s.nm.reg.Counter(mHeatRelays, "requests served by fetching the document from a replica",
-			metrics.Labels{"path": o.Path}).Inc()
-	}
-	s.nm.reg.Gauge(mHeatReplicas, "replica-set size of the document at last serve",
-		metrics.Labels{"path": o.Path}).Set(float64(replicas))
-}
-
-// Heat exposes the node's document-heat sketch (nil when disabled) for
-// tests and in-process scrapers.
-func (s *Server) Heat() *heat.Sketch { return s.heat }
+import "sweb/internal/heat"
 
 // HeatDump snapshots the heat sketch with the node identity filled in —
 // the /sweb/heat payload.
 func (s *Server) HeatDump() heat.Dump {
-	d := s.heat.Dump()
+	d := s.obs.Heat().Dump()
 	d.Node = s.cfg.ID
 	return d
 }
@@ -41,8 +14,8 @@ func (s *Server) HeatDump() heat.Dump {
 // enabled (so relay- and miss-heavy documents appear, not just cache
 // residents), else the cache's LRU-derived view.
 func (s *Server) hotPaths(n int) []string {
-	if s.heat != nil {
-		return s.heat.Hot(n)
+	if h := s.obs.Heat(); h != nil {
+		return h.Hot(n)
 	}
 	if s.cache != nil {
 		return s.cache.Hot(n)

@@ -60,9 +60,10 @@ type CacheStatus struct {
 }
 
 // StatusReport is the /sweb/status payload: one node's counters, its view
-// of every peer's health, the recent scheduling decisions with their
-// measured outcomes, the gossip time-series behind those decisions, and
-// the config shaping them.
+// of every peer's health, the gossip time-series behind its scheduling
+// decisions, and the config shaping them. The decisions themselves — cost
+// table, prediction and measured phases — are the flight records on
+// /sweb/flight.
 type StatusReport struct {
 	Node          int                 `json:"node"`
 	Addr          string              `json:"addr"`
@@ -74,7 +75,6 @@ type StatusReport struct {
 	Trace         TraceStatus         `json:"trace"`
 	Peers         []loadd.PeerHealth  `json:"peers"`
 	Gossip        []loadd.PeerHistory `json:"gossip,omitempty"`
-	Decisions     []DecisionAudit     `json:"decisions"`
 	Config        StatusConfig        `json:"config"`
 }
 
@@ -116,9 +116,8 @@ func (s *Server) StatusReport() StatusReport {
 			Dropped:   s.cfg.Trace.Dropped(),
 			EpochUnix: float64(s.epoch.UnixNano()) / 1e9,
 		},
-		Peers:     s.table.Health(s.nowSec()),
-		Gossip:    s.table.HistorySnapshot(),
-		Decisions: s.audit.snapshot(),
+		Peers:  s.table.Health(s.nowSec()),
+		Gossip: s.table.HistorySnapshot(),
 		Config: StatusConfig{
 			Policy:              s.cfg.Policy.Name(),
 			MaxConcurrent:       s.cfg.MaxConcurrent,
@@ -132,7 +131,7 @@ func (s *Server) StatusReport() StatusReport {
 }
 
 // Registry exposes the node's metric registry (tests, embedding).
-func (s *Server) Registry() *metrics.Registry { return s.nm.reg }
+func (s *Server) Registry() *metrics.Registry { return s.obs.Registry() }
 
 // SLOReport evaluates the node's configured objectives against its own
 // cumulative registry — the lifetime-window accounting a single node can
@@ -140,7 +139,7 @@ func (s *Server) Registry() *metrics.Registry { return s.nm.reg }
 // (which serves the rolling windows and burn-rate alerts).
 func (s *Server) SLOReport() slo.Report {
 	var buf bytes.Buffer
-	_ = s.nm.reg.WriteText(&buf)
+	_ = s.obs.Registry().WriteText(&buf)
 	samples, err := metrics.ParseText(&buf)
 	if err != nil {
 		samples = nil
@@ -176,103 +175,77 @@ func (s *Server) TraceDump() TraceDump {
 	}
 }
 
-// serveIntrospection answers /sweb/status and /sweb/metrics on the main
-// listener and returns the status written.
+// serveIntrospection answers the /sweb/* endpoints on the main listener
+// and returns the status written.
 func (s *Server) serveIntrospection(rc *reqConn, req *httpmsg.Request) int {
-	var body []byte
-	ctype := metrics.ContentType
+	var payload any
+	indent := false
 	switch req.Path {
 	case "/sweb/status":
-		b, err := json.MarshalIndent(s.StatusReport(), "", "  ")
-		if err != nil {
-			code := httpmsg.StatusInternalServerError
-			_ = rc.simple(code, nil, httpmsg.ErrorBody(code, err.Error()))
-			s.logAccess(rc.c, req, code, -1)
-			return code
-		}
-		body, ctype = append(b, '\n'), "application/json"
+		payload, indent = s.StatusReport(), true
+	case "/sweb/slo":
+		payload, indent = s.SLOReport(), true
 	case "/sweb/trace":
-		b, err := json.Marshal(s.TraceDump())
-		if err != nil {
-			code := httpmsg.StatusInternalServerError
-			_ = rc.simple(code, nil, httpmsg.ErrorBody(code, err.Error()))
-			s.logAccess(rc.c, req, code, -1)
-			return code
-		}
-		body, ctype = append(b, '\n'), "application/json"
+		payload = s.TraceDump()
 	case "/sweb/flight":
-		b, err := json.Marshal(s.FlightDump())
-		if err != nil {
-			code := httpmsg.StatusInternalServerError
-			_ = rc.simple(code, nil, httpmsg.ErrorBody(code, err.Error()))
-			s.logAccess(rc.c, req, code, -1)
-			return code
-		}
-		body, ctype = append(b, '\n'), "application/json"
+		payload = s.FlightDump()
 	case "/sweb/heat":
-		b, err := json.Marshal(s.HeatDump())
-		if err != nil {
-			code := httpmsg.StatusInternalServerError
-			_ = rc.simple(code, nil, httpmsg.ErrorBody(code, err.Error()))
-			s.logAccess(rc.c, req, code, -1)
-			return code
-		}
-		body, ctype = append(b, '\n'), "application/json"
+		payload = s.HeatDump()
 	case "/sweb/snapshot":
 		if s.cfg.SnapshotDir == "" {
-			code := httpmsg.StatusServiceUnavailable
-			_ = rc.simple(code, nil,
-				httpmsg.ErrorBody(code, "No snapshot directory configured (-snapshot-dir)."))
-			s.logAccess(rc.c, req, code, -1)
-			return code
+			return s.replyError(rc, req, httpmsg.StatusServiceUnavailable,
+				"No snapshot directory configured (-snapshot-dir).")
 		}
 		bundle, err := s.WriteSnapshot("manual")
 		if err != nil {
-			code := httpmsg.StatusInternalServerError
-			_ = rc.simple(code, nil, httpmsg.ErrorBody(code, err.Error()))
-			s.logAccess(rc.c, req, code, -1)
-			return code
+			return s.replyError(rc, req, httpmsg.StatusInternalServerError, err.Error())
 		}
-		b, _ := json.Marshal(map[string]string{"bundle": bundle})
-		body, ctype = append(b, '\n'), "application/json"
-	case "/sweb/slo":
-		b, err := json.MarshalIndent(s.SLOReport(), "", "  ")
-		if err != nil {
-			code := httpmsg.StatusInternalServerError
-			_ = rc.simple(code, nil, httpmsg.ErrorBody(code, err.Error()))
-			s.logAccess(rc.c, req, code, -1)
-			return code
-		}
-		body, ctype = append(b, '\n'), "application/json"
+		payload = map[string]string{"bundle": bundle}
 	case "/sweb/replicate":
 		return s.serveReplicate(rc, req)
 	case "/sweb/metrics":
 		var buf bytes.Buffer
-		if err := s.nm.reg.WriteText(&buf); err != nil {
-			code := httpmsg.StatusInternalServerError
-			_ = rc.simple(code, nil, httpmsg.ErrorBody(code, err.Error()))
-			s.logAccess(rc.c, req, code, -1)
-			return code
+		if err := s.obs.Registry().WriteText(&buf); err != nil {
+			return s.replyError(rc, req, httpmsg.StatusInternalServerError, err.Error())
 		}
-		body = buf.Bytes()
+		body := buf.Bytes()
 		// WriteText newline-terminates every line, but guarantee the
 		// trailing newline even for an empty registry: parsers in the
 		// exposition-format lineage reject truncated final lines.
 		if len(body) == 0 || body[len(body)-1] != '\n' {
 			body = append(body, '\n')
 		}
+		return s.reply(rc, req, metrics.ContentType, body)
 	default:
-		code := httpmsg.StatusNotFound
-		_ = rc.simple(code, nil,
-			httpmsg.ErrorBody(code, "No such introspection endpoint."))
-		s.logAccess(rc.c, req, code, -1)
-		return code
+		return s.replyError(rc, req, httpmsg.StatusNotFound, "No such introspection endpoint.")
 	}
+	var b []byte
+	var err error
+	if indent {
+		b, err = json.MarshalIndent(payload, "", "  ")
+	} else {
+		b, err = json.Marshal(payload)
+	}
+	if err != nil {
+		return s.replyError(rc, req, httpmsg.StatusInternalServerError, err.Error())
+	}
+	return s.reply(rc, req, "application/json", append(b, '\n'))
+}
+
+// reply writes a 200 with body and logs it, returning the status written.
+func (s *Server) reply(rc *reqConn, req *httpmsg.Request, ctype string, body []byte) int {
 	h := httpmsg.Header{}
 	h.Set("Content-Type", ctype)
-	if err := rc.simple(httpmsg.StatusOK, h, body); err != nil {
+	if rc.simple(httpmsg.StatusOK, h, body) != nil {
 		return 0
 	}
 	s.logAccess(rc.c, req, httpmsg.StatusOK, int64(len(body)))
 	return httpmsg.StatusOK
+}
+
+// replyError writes an error page and logs it.
+func (s *Server) replyError(rc *reqConn, req *httpmsg.Request, code int, msg string) int {
+	_ = rc.simple(code, nil, httpmsg.ErrorBody(code, msg))
+	s.logAccess(rc.c, req, code, -1)
+	return code
 }

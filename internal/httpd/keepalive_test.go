@@ -75,6 +75,8 @@ func TestKeepAlivePipelining(t *testing.T) {
 		t.Fatalf("third response status = %d", resp.StatusCode)
 	}
 
+	conn.Close()
+	srv.Settle(3)
 	if got := srv.Stats().Accepted; got != 1 {
 		t.Fatalf("accepted = %d connections for 3 requests, want 1", got)
 	}
@@ -327,6 +329,9 @@ func TestUpstreamPoolReusesConnections(t *testing.T) {
 		if resp.StatusCode != httpmsg.StatusOK {
 			t.Fatalf("fetch %d = %d", i, resp.StatusCode)
 		}
+		// The relay parks the upstream connection before it finalizes
+		// the request; the next fetch must find it in the pool.
+		relay.Settle(int64(i + 1))
 	}
 	st := relay.Stats()
 	if st.UpstreamDials != 1 {

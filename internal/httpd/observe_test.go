@@ -69,6 +69,7 @@ func TestStatusEndpoint(t *testing.T) {
 	if st, _ := get(t, srv.Addr(), doc); st != httpmsg.StatusOK {
 		t.Fatalf("document fetch = %d", st)
 	}
+	srv.Settle(1)
 	status, body := get(t, srv.Addr(), "/sweb/status")
 	if status != httpmsg.StatusOK {
 		t.Fatalf("/sweb/status = %d", status)
@@ -83,15 +84,18 @@ func TestStatusEndpoint(t *testing.T) {
 	if rep.Stats.Served < 1 || rep.Stats.Accepted < 1 {
 		t.Fatalf("stats = %+v", rep.Stats)
 	}
-	if len(rep.Decisions) == 0 {
-		t.Fatal("no decision audit rows")
+	// The scheduling decision lives on the request's flight record, next
+	// to the timings the node measured.
+	recs := srv.FlightDump().Records
+	if len(recs) == 0 {
+		t.Fatal("no flight records")
 	}
-	d := rep.Decisions[0]
-	if d.Path != doc || d.Redirected || d.Target != 0 || d.ActualSeconds < 0 {
-		t.Fatalf("audit row = %+v", d)
+	d := recs[0]
+	if d.Path != doc || d.Redirected || d.Target != 0 || d.TotalSeconds < 0 || d.FulfillSeconds < 0 {
+		t.Fatalf("decision record = %+v", d)
 	}
 	if len(d.Candidates) == 0 {
-		t.Fatal("audit row lost the cost table")
+		t.Fatal("decision record lost the cost table")
 	}
 }
 
@@ -103,6 +107,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 	get(t, srv.Addr(), "/no/such/file")
+	srv.Settle(4)
 
 	status, body := get(t, srv.Addr(), "/sweb/metrics")
 	if status != httpmsg.StatusOK {
@@ -158,6 +163,7 @@ func TestLiveTraceEvents(t *testing.T) {
 	if st, _ := get(t, srv.Addr(), doc); st != httpmsg.StatusOK {
 		t.Fatalf("document fetch = %d", st)
 	}
+	srv.Settle(1)
 	reqs := rec.Requests()
 	if len(reqs) != 1 {
 		t.Fatalf("traced %d requests, want 1", len(reqs))
@@ -189,6 +195,7 @@ func TestLiveTraceEvents(t *testing.T) {
 	}
 	// Introspection and internal fetches must never appear in the trace.
 	get(t, srv.Addr(), "/sweb/status")
+	srv.Settle(2)
 	if got := len(rec.Requests()); got != 1 {
 		t.Fatalf("introspection leaked into trace: %d requests", got)
 	}
@@ -197,27 +204,12 @@ func TestLiveTraceEvents(t *testing.T) {
 func TestStatsDropsAndInflight(t *testing.T) {
 	srv, _ := startSoloNode(t, nil)
 	get(t, srv.Addr(), "/no/such/file")
+	srv.Settle(1)
 	st := srv.Stats()
 	if st.NotFound != 1 || st.Drops["not_found"] != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if st.Inflight != 0 {
 		t.Fatalf("inflight = %d with no open connections", st.Inflight)
-	}
-}
-
-func TestAuditRingWraps(t *testing.T) {
-	a := newAuditLog(4)
-	for i := 0; i < 10; i++ {
-		a.add(DecisionAudit{Path: "/p", Target: i})
-	}
-	got := a.snapshot()
-	if len(got) != 4 {
-		t.Fatalf("snapshot len = %d", len(got))
-	}
-	for i, d := range got {
-		if d.Target != 6+i || d.Seq != int64(7+i) {
-			t.Fatalf("snapshot[%d] = %+v", i, d)
-		}
 	}
 }

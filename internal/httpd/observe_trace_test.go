@@ -21,6 +21,7 @@ func TestTraceDroppedSurfaced(t *testing.T) {
 			t.Fatalf("document fetch = %d", st)
 		}
 	}
+	srv.Settle(2)
 	if rec.Dropped() == 0 {
 		t.Fatal("recorder did not overflow; the test premise is wrong")
 	}

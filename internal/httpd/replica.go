@@ -52,7 +52,7 @@ func (s *Server) MaterializeReplica(path string) error {
 	if err := s.cfg.Store.AddReplica(path, s.cfg.ID); err != nil {
 		return fmt.Errorf("replicate: %w", err)
 	}
-	s.nm.rebalanceAction("add")
+	s.obs.Rebalance("add")
 	return nil
 }
 
@@ -69,7 +69,7 @@ func (s *Server) DropReplicaLocal(path string) error {
 	if err := os.Remove(s.localPath(path)); err != nil && !os.IsNotExist(err) {
 		return err
 	}
-	s.nm.rebalanceAction("drop")
+	s.obs.Rebalance("drop")
 	return nil
 }
 
@@ -91,11 +91,7 @@ func queryParam(query, key string) string {
 // the rebalancer broadcasts the same call to each member. The response
 // reports the resulting replica set.
 func (s *Server) serveReplicate(rc *reqConn, req *httpmsg.Request) int {
-	fail := func(code int, msg string) int {
-		_ = rc.simple(code, nil, httpmsg.ErrorBody(code, msg))
-		s.logAccess(rc.c, req, code, -1)
-		return code
-	}
+	fail := func(code int, msg string) int { return s.replyError(rc, req, code, msg) }
 	path, perr := httpmsg.DecodePath(queryParam(req.Query, "path"))
 	if perr != nil {
 		return fail(httpmsg.StatusBadRequest, "bad path parameter")
@@ -132,11 +128,5 @@ func (s *Server) serveReplicate(rc *reqConn, req *httpmsg.Request) int {
 		"action":   action,
 		"replicas": s.cfg.Store.Replicas(path),
 	})
-	h := httpmsg.Header{}
-	h.Set("Content-Type", "application/json")
-	if rc.simple(httpmsg.StatusOK, h, append(b, '\n')) != nil {
-		return 0
-	}
-	s.logAccess(rc.c, req, httpmsg.StatusOK, int64(len(b)))
-	return httpmsg.StatusOK
+	return s.reply(rc, req, "application/json", append(b, '\n'))
 }

@@ -19,9 +19,9 @@ import (
 	"sweb/internal/accesslog"
 	"sweb/internal/cache"
 	"sweb/internal/core"
-	"sweb/internal/flight"
-	"sweb/internal/heat"
 	"sweb/internal/loadd"
+	"sweb/internal/metrics"
+	"sweb/internal/observe"
 	"sweb/internal/oracle"
 	"sweb/internal/retry"
 	"sweb/internal/slo"
@@ -304,13 +304,7 @@ type Server struct {
 	conns   map[net.Conn]*connInfo
 	connSeq atomic.Int64 // connection ids, monotone per node
 
-	// flight is the request black box; nil when Config.FlightOff.
-	flight     *flight.Recorder
 	idleReaped atomic.Int64
-
-	// heat is the per-document heavy-hitter sketch; nil when
-	// Config.HeatOff.
-	heat *heat.Sketch
 
 	// ups pools idle internal-fetch connections per peer.
 	ups                           *upstreamPool
@@ -322,11 +316,18 @@ type Server struct {
 	badRequests, notFound                 atomic.Int64
 	fetchFailed, introspect               atomic.Int64
 
-	dropMu     sync.Mutex
-	dropCounts map[string]int64
+	// obs is the node's one observer: registry, event and phase cells,
+	// and the per-request Finish funnel.
+	obs      *observe.Observer
+	kaServed *metrics.Histogram
 
-	nm    *nodeMetrics
-	audit *auditLog
+	// settle wakes Settle whenever a request is finalized or a connection
+	// leaves a request; finished counts finalized requests, busy the
+	// connections with a request in progress.
+	settleMu sync.Mutex
+	settle   *sync.Cond
+	finished int64
+	busy     int64
 
 	// lastAdvertised is the previous broadcast's sample, for the
 	// advertised-vs-now drift histograms. Touched only by the broadcast
@@ -369,38 +370,23 @@ func New(cfg Config) (*Server, error) {
 		epoch = time.Now()
 	}
 	s := &Server{
-		cfg:        cfg,
-		ln:         ln,
-		udp:        udp,
-		table:      newHealthTable(cfg),
-		epoch:      epoch,
-		peers:      make(map[int]Peer),
-		cgi:        make(map[string]CGIFunc),
-		closed:     make(chan struct{}),
-		draining:   make(chan struct{}),
-		dropCounts: make(map[string]int64),
-		audit:      newAuditLog(auditCap),
-		conns:      make(map[net.Conn]*connInfo),
-		ups:        newUpstreamPool(0),
+		cfg:      cfg,
+		ln:       ln,
+		udp:      udp,
+		table:    newHealthTable(cfg),
+		epoch:    epoch,
+		peers:    make(map[int]Peer),
+		cgi:      make(map[string]CGIFunc),
+		closed:   make(chan struct{}),
+		draining: make(chan struct{}),
+		conns:    make(map[net.Conn]*connInfo),
+		ups:      newUpstreamPool(0),
 	}
 	if !cfg.CacheOff {
 		s.cache = cache.New(cfg.CacheBytes)
 	}
-	if !cfg.FlightOff {
-		fcfg := flight.Config{Cap: cfg.FlightRing, NotableCap: cfg.FlightNotable}
-		switch {
-		case cfg.SlowThreshold < 0:
-			fcfg.SlowSeconds = -1
-		case cfg.SlowThreshold > 0:
-			fcfg.SlowSeconds = cfg.SlowThreshold.Seconds()
-		}
-		s.flight = flight.New(fcfg)
-	}
-	if !cfg.HeatOff {
-		// Before newNodeMetrics: the sweb_heat_* closures read it.
-		s.heat = heat.New(heat.Config{K: cfg.HeatK})
-	}
-	s.nm = newNodeMetrics(s)
+	s.settle = sync.NewCond(&s.settleMu)
+	s.obs = newObserver(s)
 	return s, nil
 }
 
@@ -443,7 +429,7 @@ func (s *Server) SetPeers(peers []Peer) {
 		if p.ID == s.cfg.ID {
 			continue
 		}
-		s.nm.gossipGauges(s, p.ID)
+		s.obs.AddPeer(p.ID)
 	}
 }
 
@@ -577,7 +563,7 @@ func (s *Server) Shutdown(grace time.Duration) bool {
 
 // Stats snapshots the counters.
 func (s *Server) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Accepted:       s.accepted.Load(),
 		Refused:        s.refused.Load(),
 		Served:         s.served.Load(),
@@ -596,16 +582,8 @@ func (s *Server) Stats() Stats {
 		Broadcasts:     s.broadcasts.Load(),
 		SamplesHeard:   s.samplesHeard.Load(),
 		IdleReaped:     s.idleReaped.Load(),
+		Drops:          s.obs.DropCounts(),
 	}
-	s.dropMu.Lock()
-	if len(s.dropCounts) > 0 {
-		st.Drops = make(map[string]int64, len(s.dropCounts))
-		for k, v := range s.dropCounts {
-			st.Drops[k] = v
-		}
-	}
-	s.dropMu.Unlock()
-	return st
 }
 
 // Table exposes the loadd table (tests and the doctor CLI).
@@ -660,9 +638,9 @@ func (s *Server) broadcastOnce() {
 	// to the cluster — the error every peer's view of this node carries
 	// for up to a gossip period.
 	if s.haveLastAdvertised {
-		s.nm.gossipDrift("cpu", smp.CPULoad-s.lastAdvertised.CPULoad)
-		s.nm.gossipDrift("disk", smp.DiskLoad-s.lastAdvertised.DiskLoad)
-		s.nm.gossipDrift("net", smp.NetLoad-s.lastAdvertised.NetLoad)
+		s.obs.GossipDrift("cpu", smp.CPULoad-s.lastAdvertised.CPULoad)
+		s.obs.GossipDrift("disk", smp.DiskLoad-s.lastAdvertised.DiskLoad)
+		s.obs.GossipDrift("net", smp.NetLoad-s.lastAdvertised.NetLoad)
 	}
 	s.lastAdvertised, s.haveLastAdvertised = smp, true
 	var buf [loadd.MaxWireSize]byte
@@ -725,7 +703,7 @@ func (s *Server) listenLoop() {
 			if prevAge >= 0 {
 				// Gap between consecutive receptions from this peer — the
 				// distribution the staleness gauge samples from.
-				s.nm.gossipInterval(smp.Node, prevAge)
+				s.obs.GossipInterval(smp.Node, prevAge)
 			}
 		}
 	}

@@ -230,7 +230,7 @@ func (s *Server) fetchWithRetry(sources []fetchSource, path string, tctx trace.T
 			return ferr
 		}
 		s.table.MarkSuccess(src.node)
-		s.nm.replicaFetch(path, src.node)
+		s.obs.ReplicaFetch(path, src.node)
 		resp = r
 		return nil
 	})
@@ -274,21 +274,12 @@ func (s *Server) relayStream(rc *reqConn, req *httpmsg.Request, sources []fetchS
 		return s.degrade503(rc, req)
 	}
 	s.table.MarkSuccess(chosen.node)
-	s.nm.replicaFetch(req.Path, chosen.node)
+	s.obs.ReplicaFetch(req.Path, chosen.node)
 	peer := chosen.peer
 
 	if resp.StatusCode == httpmsg.StatusNotModified {
 		s.ups.put(peer.HTTPAddr, u) // a 304 carries no body; the conn is clean
-		h := httpmsg.Header{}
-		if lm := resp.Header.Get("Last-Modified"); lm != "" {
-			h.Set("Last-Modified", lm)
-		}
-		if rc.simple(httpmsg.StatusNotModified, h, nil) != nil {
-			return 0
-		}
-		s.served.Add(1)
-		s.logAccess(rc.c, req, httpmsg.StatusNotModified, -1)
-		return httpmsg.StatusNotModified
+		return s.notModified(rc, req, resp.Header.Get("Last-Modified"))
 	}
 
 	size := int64(-1)

@@ -295,7 +295,7 @@ type Response struct {
 	Status     string // reason phrase
 	Header     Header
 	// Body is the full body for parsed responses. When writing, use
-	// WriteResponseHeader followed by direct writes for streaming.
+	// WriteProtoResponseHeader followed by direct writes for streaming.
 	Body []byte
 }
 
@@ -432,12 +432,6 @@ func WriteProtoResponseHeader(w *bufio.Writer, proto string, code int, h Header)
 	}
 	_, err := w.WriteString("\r\n")
 	return err
-}
-
-// WriteResponseHeader is WriteProtoResponseHeader pinned to HTTP/1.0, kept
-// for the callers that never negotiate keep-alive (monitor, DNS admin).
-func WriteResponseHeader(w *bufio.Writer, code int, h Header) error {
-	return WriteProtoResponseHeader(w, "HTTP/1.0", code, h)
 }
 
 // WriteProtoSimpleResponse writes a complete small response (errors,

@@ -375,6 +375,7 @@ func TestStatsCounters(t *testing.T) {
 	}
 	var served, bytesOut int64
 	for _, srv := range cl.Servers {
+		srv.Settle(0)
 		s := srv.Stats()
 		served += s.Served
 		bytesOut += s.BytesOut

@@ -13,6 +13,7 @@ import (
 	"sweb/internal/httpd"
 	"sweb/internal/httpmsg"
 	"sweb/internal/metrics"
+	"sweb/internal/observe"
 	"sweb/internal/stats"
 	"sweb/internal/trace"
 )
@@ -21,36 +22,41 @@ import (
 // fast and are skipped.
 const scrapeTimeout = 5 * time.Second
 
-// Status fetches and decodes one node's /sweb/status.
-func Status(addr string) (*httpd.StatusReport, error) {
-	code, _, body, err := fetchOnce(addr, "/sweb/status", scrapeTimeout, 16<<20)
+// fetchJSON fetches one node's introspection endpoint and decodes its JSON
+// answer into a T — the one scrape every typed accessor below shares.
+func fetchJSON[T any](addr, path string, maxBytes int64) (*T, error) {
+	code, _, body, err := fetchOnce(addr, path, scrapeTimeout, maxBytes)
 	if err != nil {
 		return nil, err
 	}
 	if code != httpmsg.StatusOK {
-		return nil, fmt.Errorf("live: %s/sweb/status returned %d", addr, code)
+		return nil, fmt.Errorf("live: %s%s returned %d", addr, path, code)
 	}
-	var rep httpd.StatusReport
-	if err := json.Unmarshal(body, &rep); err != nil {
-		return nil, fmt.Errorf("live: %s/sweb/status: %v", addr, err)
+	var v T
+	if err := json.Unmarshal(body, &v); err != nil {
+		return nil, fmt.Errorf("live: %s%s: %v", addr, path, err)
 	}
-	return &rep, nil
+	return &v, nil
+}
+
+// Status fetches and decodes one node's /sweb/status.
+func Status(addr string) (*httpd.StatusReport, error) {
+	return fetchJSON[httpd.StatusReport](addr, "/sweb/status", 16<<20)
 }
 
 // Flight fetches and decodes one node's /sweb/flight black-box dump.
 func Flight(addr string) (*flight.Dump, error) {
-	code, _, body, err := fetchOnce(addr, "/sweb/flight", scrapeTimeout, 16<<20)
-	if err != nil {
-		return nil, err
-	}
-	if code != httpmsg.StatusOK {
-		return nil, fmt.Errorf("live: %s/sweb/flight returned %d", addr, code)
-	}
-	var dump flight.Dump
-	if err := json.Unmarshal(body, &dump); err != nil {
-		return nil, fmt.Errorf("live: %s/sweb/flight: %v", addr, err)
-	}
-	return &dump, nil
+	return fetchJSON[flight.Dump](addr, "/sweb/flight", 16<<20)
+}
+
+// Heat fetches and decodes one node's /sweb/heat document-heat dump.
+func Heat(addr string) (*heat.Dump, error) {
+	return fetchJSON[heat.Dump](addr, "/sweb/heat", 16<<20)
+}
+
+// ScrapeTrace fetches and decodes one node's /sweb/trace dump.
+func ScrapeTrace(addr string) (*httpd.TraceDump, error) {
+	return fetchJSON[httpd.TraceDump](addr, "/sweb/trace", 64<<20)
 }
 
 // MergedHeat folds every live node's document-heat sketch into the
@@ -67,22 +73,6 @@ func (c *Cluster) MergedHeat() heat.Merged {
 	return heat.Merge(dumps)
 }
 
-// Heat fetches and decodes one node's /sweb/heat document-heat dump.
-func Heat(addr string) (*heat.Dump, error) {
-	code, _, body, err := fetchOnce(addr, "/sweb/heat", scrapeTimeout, 16<<20)
-	if err != nil {
-		return nil, err
-	}
-	if code != httpmsg.StatusOK {
-		return nil, fmt.Errorf("live: %s/sweb/heat returned %d", addr, code)
-	}
-	var dump heat.Dump
-	if err := json.Unmarshal(body, &dump); err != nil {
-		return nil, fmt.Errorf("live: %s/sweb/heat: %v", addr, err)
-	}
-	return &dump, nil
-}
-
 // ReplicateCmd asks one node to apply a replica-set change via
 // /sweb/replicate: the addressed node materializes (add) or retires
 // (drop) its own copy when node is its id, and otherwise just records
@@ -90,18 +80,11 @@ func Heat(addr string) (*heat.Dump, error) {
 func ReplicateCmd(addr, path string, node int, action string) ([]int, error) {
 	q := fmt.Sprintf("/sweb/replicate?path=%s&node=%d&action=%s",
 		httpmsg.EscapePath(path), node, action)
-	code, _, body, err := fetchOnce(addr, q, scrapeTimeout, 1<<20)
+	resp, err := fetchJSON[struct {
+		Replicas []int `json:"replicas"`
+	}](addr, q, 1<<20)
 	if err != nil {
 		return nil, err
-	}
-	if code != httpmsg.StatusOK {
-		return nil, fmt.Errorf("live: %s/sweb/replicate returned %d", addr, code)
-	}
-	var resp struct {
-		Replicas []int `json:"replicas"`
-	}
-	if err := json.Unmarshal(body, &resp); err != nil {
-		return nil, fmt.Errorf("live: %s/sweb/replicate: %v", addr, err)
 	}
 	return resp.Replicas, nil
 }
@@ -109,18 +92,11 @@ func ReplicateCmd(addr, path string, node int, action string) ([]int, error) {
 // TriggerSnapshot asks one node to write a diagnostic bundle via
 // /sweb/snapshot and returns the bundle path (local to that node).
 func TriggerSnapshot(addr string) (string, error) {
-	code, _, body, err := fetchOnce(addr, "/sweb/snapshot", scrapeTimeout, 1<<20)
+	resp, err := fetchJSON[struct {
+		Bundle string `json:"bundle"`
+	}](addr, "/sweb/snapshot", 1<<20)
 	if err != nil {
 		return "", err
-	}
-	if code != httpmsg.StatusOK {
-		return "", fmt.Errorf("live: %s/sweb/snapshot returned %d", addr, code)
-	}
-	var resp struct {
-		Bundle string `json:"bundle"`
-	}
-	if err := json.Unmarshal(body, &resp); err != nil {
-		return "", fmt.Errorf("live: %s/sweb/snapshot: %v", addr, err)
 	}
 	return resp.Bundle, nil
 }
@@ -135,22 +111,6 @@ func Metrics(addr string) ([]metrics.Sample, error) {
 		return nil, fmt.Errorf("live: %s/sweb/metrics returned %d", addr, code)
 	}
 	return metrics.ParseText(strings.NewReader(string(body)))
-}
-
-// ScrapeTrace fetches and decodes one node's /sweb/trace dump.
-func ScrapeTrace(addr string) (*httpd.TraceDump, error) {
-	code, _, body, err := fetchOnce(addr, "/sweb/trace", scrapeTimeout, 64<<20)
-	if err != nil {
-		return nil, err
-	}
-	if code != httpmsg.StatusOK {
-		return nil, fmt.Errorf("live: %s/sweb/trace returned %d", addr, code)
-	}
-	var dump httpd.TraceDump
-	if err := json.Unmarshal(body, &dump); err != nil {
-		return nil, fmt.Errorf("live: %s/sweb/trace: %v", addr, err)
-	}
-	return &dump, nil
 }
 
 // ScrapeTraces pulls every live node's event stream into a Collector —
@@ -228,12 +188,6 @@ type ClusterReport struct {
 	Compared     float64 // requests with both prediction and measurement
 }
 
-// reportPhases are the phase histogram cells the report tabulates, in
-// lifecycle order. redirect_hop is the measured t_redirection: the wall
-// time between a 302 leaving one node and the redirected connection
-// arriving at the target.
-var reportPhases = []string{"parse", "analyze", "redirect", "redirect_hop", "fetch_local", "fetch_nfs", "cgi"}
-
 // Report scrapes the cluster and reduces the merged samples to the
 // redirect rate, per-phase latency quantiles, and the predicted-vs-actual
 // t_s error — the live analogue of the paper's Table 5.
@@ -244,25 +198,25 @@ func (c *Cluster) Report() (*ClusterReport, error) {
 	}
 	r := &ClusterReport{
 		NodesUp:    up,
-		Connected:  MetricValue(samples, "sweb_events_total", metrics.Labels{"event": "connected"}),
-		Sent:       MetricValue(samples, "sweb_events_total", metrics.Labels{"event": "sent"}),
-		Redirected: MetricValue(samples, "sweb_events_total", metrics.Labels{"event": "redirected"}),
-		Refused:    MetricValue(samples, "sweb_events_total", metrics.Labels{"event": "refused"}),
-		Compared:   MetricValue(samples, "sweb_sched_compared_total", nil),
+		Connected:  MetricValue(samples, observe.Events, metrics.Labels{"event": "connected"}),
+		Sent:       MetricValue(samples, observe.Events, metrics.Labels{"event": "sent"}),
+		Redirected: MetricValue(samples, observe.Events, metrics.Labels{"event": "redirected"}),
+		Refused:    MetricValue(samples, observe.Events, metrics.Labels{"event": "refused"}),
+		Compared:   MetricValue(samples, observe.SchedCompared, nil),
 		Drops:      map[string]float64{},
 	}
 	if r.Connected > 0 {
 		r.RedirectRate = r.Redirected / r.Connected
 	}
 	for _, s := range samples {
-		if s.Name == "sweb_drops_total" {
+		if s.Name == observe.Drops {
 			r.Drops[s.Labels["cause"]] += s.Value
 		}
 	}
-	for _, phase := range reportPhases {
+	for _, phase := range observe.PhaseNames {
 		sel := metrics.Labels{"phase": phase}
-		buckets := metrics.Buckets(samples, "sweb_phase_seconds", sel)
-		count := MetricValue(samples, "sweb_phase_seconds_count", sel)
+		buckets := metrics.Buckets(samples, observe.Phases, sel)
+		count := MetricValue(samples, observe.Phases+"_count", sel)
 		if count == 0 {
 			continue
 		}
@@ -275,8 +229,8 @@ func (c *Cluster) Report() (*ClusterReport, error) {
 	}
 	for _, phase := range []string{"cpu", "data", "total"} {
 		sel := metrics.Labels{"phase": phase}
-		pred, okP := metrics.Value(samples, "sweb_sched_predicted_seconds_total", sel)
-		act, okA := metrics.Value(samples, "sweb_sched_actual_seconds_total", sel)
+		pred, okP := metrics.Value(samples, observe.SchedPredicted, sel)
+		act, okA := metrics.Value(samples, observe.SchedActual, sel)
 		if !okP || !okA || r.Compared == 0 {
 			continue
 		}

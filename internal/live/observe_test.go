@@ -55,8 +55,16 @@ func TestClusterObservability(t *testing.T) {
 		if len(rep.Peers) == 0 {
 			t.Fatalf("node %d reports no peer health", i)
 		}
-		if len(rep.Decisions) == 0 {
-			t.Fatalf("node %d has an empty decision audit", i)
+		fd, err := Flight(srv.Addr())
+		if err != nil {
+			t.Fatalf("node %d flight: %v", i, err)
+		}
+		decided := false
+		for _, r := range fd.Records {
+			decided = decided || len(r.Candidates) > 0
+		}
+		if !decided {
+			t.Fatalf("node %d recorded no decision cost table", i)
 		}
 		if _, err := Metrics(srv.Addr()); err != nil {
 			t.Fatalf("node %d metrics: %v", i, err)

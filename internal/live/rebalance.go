@@ -13,9 +13,6 @@ type rebalancerState struct {
 	stop chan struct{}
 	wg   sync.WaitGroup
 	once sync.Once
-
-	mu      sync.Mutex
-	applied []rebalance.Action
 }
 
 // StartRebalancer attaches the heat-driven replica rebalancer: every
@@ -58,33 +55,15 @@ func (c *Cluster) rebalanceTick(rb *rebalancerState) {
 		if !up(act.Node) {
 			continue
 		}
-		var err error
+		// A failed action leaves the store's placement unchanged, and the
+		// controller reads placements from the store every tick.
 		switch act.Kind {
 		case "add":
-			err = c.Servers[act.Node].MaterializeReplica(act.Path)
+			_ = c.Servers[act.Node].MaterializeReplica(act.Path)
 		case "drop":
-			err = c.Servers[act.Node].DropReplicaLocal(act.Path)
-		}
-		if err == nil {
-			rb.mu.Lock()
-			rb.applied = append(rb.applied, act)
-			rb.mu.Unlock()
+			_ = c.Servers[act.Node].DropReplicaLocal(act.Path)
 		}
 	}
-}
-
-// RebalanceLog returns the actions the rebalancer has applied so far, in
-// order — the redistribution tests read it to hold the advisor's
-// predictions against observed traffic.
-func (c *Cluster) RebalanceLog() []rebalance.Action {
-	if c.rb == nil {
-		return nil
-	}
-	c.rb.mu.Lock()
-	defer c.rb.mu.Unlock()
-	out := make([]rebalance.Action, len(c.rb.applied))
-	copy(out, c.rb.applied)
-	return out
 }
 
 // StopRebalancer halts the rebalance loop. Safe to call repeatedly or

@@ -31,10 +31,16 @@ func TestAccessLogCapturedAndReplayable(t *testing.T) {
 	if err := Materialize(st, dir, 1); err != nil {
 		t.Fatal(err)
 	}
+	// The log must hold one 200 per fetch, and fetchOnce does not follow a
+	// 302: pin every request where it arrives (MaxRedirects 0 switches the
+	// broker off) instead of letting gossip-driven SWEB decisions redirect.
+	params := core.DefaultParams()
+	params.MaxRedirects = 0
 	var servers []*httpd.Server
 	for i := 0; i < nodes; i++ {
 		srv, err := httpd.New(httpd.Config{
 			ID: i, DocRoot: nodeDocRoot(dir, i), Store: st, AccessLog: logger,
+			Policy: core.NewSWEB(params), Params: params, HaveParams: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -58,6 +64,9 @@ func TestAccessLogCapturedAndReplayable(t *testing.T) {
 		if err != nil || status != 200 {
 			t.Fatalf("fetch %d: status=%d err=%v", i, status, err)
 		}
+	}
+	for _, srv := range servers {
+		srv.Settle(8 / nodes)
 	}
 	if err := logger.Flush(); err != nil {
 		t.Fatal(err)
@@ -137,6 +146,7 @@ func TestAccessLogRecordsErrorsAndRedirects(t *testing.T) {
 	if status, _, _, err := fetchOnce(servers[0].Addr(), owned1, 5*time.Second, 1<<20); err != nil || status != 302 {
 		t.Fatalf("status=%d err=%v", status, err)
 	}
+	servers[0].Settle(2)
 	if err := logger.Flush(); err != nil {
 		t.Fatal(err)
 	}

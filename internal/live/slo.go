@@ -1,37 +1,19 @@
 package live
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
-	"sweb/internal/httpmsg"
 	"sweb/internal/monitor"
 	"sweb/internal/slo"
 )
-
-// SLO fetches and decodes one node's /sweb/slo lifetime-budget report.
-func SLO(addr string) (*slo.Report, error) {
-	code, _, body, err := fetchOnce(addr, "/sweb/slo", scrapeTimeout, 1<<20)
-	if err != nil {
-		return nil, err
-	}
-	if code != httpmsg.StatusOK {
-		return nil, fmt.Errorf("live: %s/sweb/slo returned %d", addr, code)
-	}
-	var rep slo.Report
-	if err := json.Unmarshal(body, &rep); err != nil {
-		return nil, fmt.Errorf("live: %s/sweb/slo: %v", addr, err)
-	}
-	return &rep, nil
-}
 
 // SLOReport evaluates objectives over the cluster monitor's time-series
 // store: cluster-wide plus per-node budgets over the trailing window
 // (whole history when window <= 0). Node subjects use the monitor's
 // source names, the same labels the burn-rate rules alert on. Returns an
 // error before StartMonitor — rolling windows need scrape history, which
-// only the monitor holds; per-node lifetime budgets are SLO(addr)'s job.
+// only the monitor holds; per-node lifetime budgets are /sweb/slo's job.
 func (c *Cluster) SLOReport(objs []slo.Objective, window float64) (slo.Report, error) {
 	mon := c.Monitor()
 	if mon == nil {

@@ -141,9 +141,6 @@ func (t *Table) SetFailureLimit(n int) {
 	t.failLimit = n
 }
 
-// Self returns the owning node id.
-func (t *Table) Self() int { return t.self }
-
 // Update records a broadcast received at time now (seconds). A fresh sample
 // clears any accumulated redirect bumps for that peer. Invalid samples are
 // ignored and reported.

@@ -3,6 +3,8 @@ package monitor
 import (
 	"sort"
 	"sync"
+
+	"sweb/internal/observe"
 )
 
 // Names of the series the monitor itself writes into its store, next to
@@ -10,11 +12,11 @@ import (
 const (
 	// metricUp is 1 when the node's scrape succeeded, 0 when it failed —
 	// the monitor's own liveness probe.
-	metricUp = "sweb_monitor_up"
+	metricUp = observe.MonitorUp
 	// metricAlert is 1 while the {rule, node} alert fires, 0 otherwise;
 	// exporting alert state as a metric closes the loop (a dashboard or a
 	// meta-monitor can scrape the monitor).
-	metricAlert = "sweb_monitor_alert"
+	metricAlert = observe.MonitorAlert
 )
 
 // Config tunes a Monitor. The zero value works: 15s derivation window,
@@ -97,9 +99,6 @@ func (m *Monitor) AddSource(s Source) {
 
 // Store exposes the underlying time-series store.
 func (m *Monitor) Store() *Store { return m.store }
-
-// Window reports the configured derivation window.
-func (m *Monitor) Window() float64 { return m.cfg.Window }
 
 // Rounds reports how many Collect rounds have run.
 func (m *Monitor) Rounds() int64 {

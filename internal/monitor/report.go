@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"sweb/internal/metrics"
+	"sweb/internal/observe"
 	"sweb/internal/stats"
 )
 
@@ -33,12 +34,12 @@ type TimelineRow struct {
 func (m *Monitor) captureRows(v *View, now float64) {
 	for _, n := range v.Nodes {
 		row := TimelineRow{T: now, Node: n, Up: v.up(n)}
-		row.Inflight, _ = v.latest("sweb_inflight", metrics.Labels{"node": n})
-		row.DiskActive, _ = v.latest("sweb_disk_active", metrics.Labels{"node": n})
-		row.NetActive, _ = v.latest("sweb_net_active", metrics.Labels{"node": n})
-		row.ReqRate = Rate(m.store.Points("sweb_events_total",
+		row.Inflight, _ = v.latest(observe.Inflight, metrics.Labels{"node": n})
+		row.DiskActive, _ = v.latest(observe.DiskActive, metrics.Labels{"node": n})
+		row.NetActive, _ = v.latest(observe.NetActive, metrics.Labels{"node": n})
+		row.ReqRate = Rate(m.store.Points(observe.Events,
 			metrics.Labels{"event": "connected", "node": n}), v.From, v.To)
-		row.RedirectRate = Rate(m.store.Points("sweb_events_total",
+		row.RedirectRate = Rate(m.store.Points(observe.Events,
 			metrics.Labels{"event": "redirected", "node": n}), v.From, v.To)
 		m.rows = append(m.rows, row)
 	}
@@ -123,37 +124,37 @@ func (m *Monitor) Snapshot() *Snapshot {
 	snap := &Snapshot{T: now, Window: window, Rounds: rounds, Metrics: m.store.SeriesCount()}
 	for _, n := range nodes {
 		row := NodeRow{Node: n, Up: v.up(n)}
-		row.Inflight, _ = v.latest("sweb_inflight", metrics.Labels{"node": n})
-		row.Capacity, _ = v.latest("sweb_capacity", metrics.Labels{"node": n})
-		row.DiskActive, _ = v.latest("sweb_disk_active", metrics.Labels{"node": n})
-		row.NetActive, _ = v.latest("sweb_net_active", metrics.Labels{"node": n})
-		row.Goroutines, _ = v.latest("sweb_goroutines", metrics.Labels{"node": n})
-		row.HeapBytes, _ = v.latest("sweb_heap_alloc_bytes", metrics.Labels{"node": n})
-		row.ReqRate = Rate(m.store.Points("sweb_events_total",
+		row.Inflight, _ = v.latest(observe.Inflight, metrics.Labels{"node": n})
+		row.Capacity, _ = v.latest(observe.Capacity, metrics.Labels{"node": n})
+		row.DiskActive, _ = v.latest(observe.DiskActive, metrics.Labels{"node": n})
+		row.NetActive, _ = v.latest(observe.NetActive, metrics.Labels{"node": n})
+		row.Goroutines, _ = v.latest(observe.Goroutines, metrics.Labels{"node": n})
+		row.HeapBytes, _ = v.latest(observe.HeapAlloc, metrics.Labels{"node": n})
+		row.ReqRate = Rate(m.store.Points(observe.Events,
 			metrics.Labels{"event": "connected", "node": n}), from, to)
-		row.RedirectRate = Rate(m.store.Points("sweb_events_total",
+		row.RedirectRate = Rate(m.store.Points(observe.Events,
 			metrics.Labels{"event": "redirected", "node": n}), from, to)
-		for _, s := range m.store.Select("sweb_bytes_out_total", metrics.Labels{"node": n}) {
+		for _, s := range m.store.Select(observe.BytesOut, metrics.Labels{"node": n}) {
 			row.BytesOutRate += Rate(s.Points, from, to)
 		}
 		snap.Nodes = append(snap.Nodes, row)
 	}
 	for _, phase := range reportPhases {
 		sel := metrics.Labels{"phase": phase}
-		count := m.store.WindowedCount("sweb_phase_seconds", sel, from, to)
+		count := m.store.WindowedCount(observe.Phases, sel, from, to)
 		if count == 0 {
 			continue
 		}
 		snap.Phases = append(snap.Phases, PhaseRow{
 			Phase: phase,
 			Count: count,
-			P50:   m.store.HistogramQuantile(0.5, "sweb_phase_seconds", sel, from, to),
-			P95:   m.store.HistogramQuantile(0.95, "sweb_phase_seconds", sel, from, to),
+			P50:   m.store.HistogramQuantile(0.5, observe.Phases, sel, from, to),
+			P95:   m.store.HistogramQuantile(0.95, observe.Phases, sel, from, to),
 		})
 	}
-	if m.store.WindowedCount("sweb_response_seconds", nil, from, to) > 0 {
-		snap.P50 = m.store.HistogramQuantile(0.5, "sweb_response_seconds", nil, from, to)
-		snap.P95 = m.store.HistogramQuantile(0.95, "sweb_response_seconds", nil, from, to)
+	if m.store.WindowedCount(observe.Response, nil, from, to) > 0 {
+		snap.P50 = m.store.HistogramQuantile(0.5, observe.Response, nil, from, to)
+		snap.P95 = m.store.HistogramQuantile(0.95, observe.Response, nil, from, to)
 	}
 	snap.Alerts = m.Alerts()
 	return snap

@@ -162,9 +162,6 @@ func (eb *EthernetBus) ControlLatency() des.Time { return eb.latency }
 // BusLoad returns the instantaneous number of real transfers on the bus.
 func (eb *EthernetBus) BusLoad() int { return eb.bus.Load() }
 
-// BusUtilization returns the busy fraction of the bus since t0.
-func (eb *EthernetBus) BusUtilization(t0 des.Time) float64 { return eb.bus.Utilization(t0) }
-
 // InternalTransfer implements Network.
 func (eb *EthernetBus) InternalTransfer(src, dst int, bytes int64, done func()) {
 	if src == dst {

@@ -7,11 +7,10 @@ import (
 	"sweb/internal/core"
 	"sweb/internal/des"
 	"sweb/internal/dnsrr"
-	"sweb/internal/flight"
-	"sweb/internal/heat"
 	"sweb/internal/loadd"
 	"sweb/internal/model"
 	"sweb/internal/netsim"
+	"sweb/internal/observe"
 	"sweb/internal/stats"
 	"sweb/internal/trace"
 	"sweb/internal/workload"
@@ -31,10 +30,9 @@ type Cluster struct {
 
 	inflight []int  // admitted, not yet finished server-side, per node
 	up       []bool // node in the resource pool
-	nm       []*simMetrics
-	fl       []*flight.Recorder // per-node black boxes, nil when FlightOff
-	ht       []*heat.Sketch     // per-node document-heat sketches, nil when HeatOff
-	reqSeq   int64              // sim analogue of the live connection id
+	obs      []*observe.Observer
+	bytesOut []int64 // response body bytes written, per node
+	reqSeq   int64   // sim analogue of the live connection id
 
 	res            *stats.RunResult
 	outstanding    int64
@@ -58,6 +56,7 @@ func New(cfg Config) (*Cluster, error) {
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		inflight: make([]int, n),
 		up:       make([]bool, n),
+		bytesOut: make([]int64, n),
 		res:      &stats.RunResult{PerNodeServed: make([]int64, n)},
 	}
 	nics := make([]*des.PSResource, 0, n)
@@ -97,28 +96,10 @@ func New(cfg Config) (*Cluster, error) {
 	for i := 0; i < n; i++ {
 		c.tables = append(c.tables, loadd.NewTable(i, cfg.LoaddTimeout, c.cfg.Params.Delta))
 	}
-	// Per-node flight recorders precede the registries: the metric
-	// closures read them.
-	if !cfg.FlightOff {
-		fcfg := flight.Config{
-			Cap:         cfg.FlightRing,
-			NotableCap:  cfg.FlightNotable,
-			SlowSeconds: cfg.SlowThresholdSeconds,
-		}
-		for i := 0; i < n; i++ {
-			c.fl = append(c.fl, flight.New(fcfg))
-		}
-	}
-	// Heat sketches precede the registries for the same reason.
-	if !cfg.HeatOff {
-		for i := 0; i < n; i++ {
-			c.ht = append(c.ht, heat.New(heat.Config{K: cfg.HeatK}))
-		}
-	}
-	// Per-node registries mirror the live /sweb/metrics families; they need
-	// the tables in place for the gossip gauges.
+	// Per-node observers publish the live /sweb/metrics families; they
+	// need the tables in place for the gossip gauges.
 	for i := 0; i < n; i++ {
-		c.nm = append(c.nm, newSimMetrics(c, i))
+		c.obs = append(c.obs, newObserver(c, i))
 	}
 	// Warm the tables (the daemons were already running before the test
 	// bursts start) and kick off the periodic broadcasts, staggered so
@@ -154,9 +135,6 @@ func (c *Cluster) Node(i int) *model.Node { return c.nodes[i] }
 
 // PolicyName reports the active scheduling policy.
 func (c *Cluster) PolicyName() string { return c.policy.Name() }
-
-// Result returns the accumulating run result.
-func (c *Cluster) Result() *stats.RunResult { return c.res }
 
 // nowSec is the simulation clock in seconds, the unit loadd and dnsrr use.
 func (c *Cluster) nowSec() float64 { return c.Sim.Now().ToSeconds() }
@@ -305,7 +283,7 @@ func (c *Cluster) Submit(a workload.Arrival) {
 		} else {
 			n, err := c.resolver.Resolve(a.Domain, c.nowSec())
 			if err != nil {
-				c.drop(nil, stats.DropUnavailable)
+				c.drop(nil, stats.DropUnavailable, "")
 				return
 			}
 			node = n
@@ -394,7 +372,9 @@ func (c *Cluster) finalize() {
 	}
 }
 
-func (c *Cluster) drop(rs *request, cause stats.DropCause) {
+// drop ends a request the cluster turned away. reason is the
+// sweb_drops_total cause the refusing node counts.
+func (c *Cluster) drop(rs *request, cause stats.DropCause, reason string) {
 	c.res.RecordDrop(cause)
 	c.outstanding--
 	c.lastDone = c.Sim.Now()
@@ -402,6 +382,6 @@ func (c *Cluster) drop(rs *request, cause stats.DropCause) {
 		// Refused and unreachable requests still leave black-box evidence:
 		// a 503 record at the node that turned them away, with no target
 		// (the broker never placed them anywhere).
-		c.flightEmit(rs, rs.entry, 503, 0, false)
+		c.finish(rs, rs.entry, 503, reason)
 	}
 }

@@ -4,91 +4,71 @@ import (
 	"strconv"
 
 	"sweb/internal/flight"
+	"sweb/internal/observe"
 )
-
-// flightOf returns node x's black-box recorder, nil when FlightOff (the
-// flight package's methods are nil-safe, so callers never branch).
-func (c *Cluster) flightOf(x int) *flight.Recorder {
-	if c.fl == nil {
-		return nil
-	}
-	return c.fl[x]
-}
 
 // FlightDump snapshots node x's black box — the simulator analogue of
 // scraping /sweb/flight. AtSeconds values are virtual seconds from sim
 // start, so EpochUnix stays zero (the DES has no wall clock).
 func (c *Cluster) FlightDump(x int) flight.Dump {
-	d := c.flightOf(x).Dump()
+	d := c.obs[x].Flight().Dump()
 	d.Node = x
 	return d
 }
 
-// flightEmit appends one record for rs to node's black box. served marks
-// requests that reached fulfillment: those carry the policy name and the
-// serving node as the decision target, while refusals and drops record no
-// placement (Target -1). Both substrates fill the same Record schema —
-// the parity test in internal/flight holds them to it.
-func (c *Cluster) flightEmit(rs *request, node, status int, bytes int64, served bool) {
-	r := c.flightOf(node)
-	if r == nil {
-		return
-	}
+// finish is the single point a simulated request is finalized: it builds
+// rs's one record at node — the node that served it, or that turned it
+// away with a 503 — and hands it to that node's observer. A served
+// request carries the policy, the serving node as decision target and the
+// document-heat inputs; a refusal records no placement (Target -1). drop
+// is the sweb_drops_total cause ("" when served, or when the refusing node
+// is down and counts nothing). A timed-out request is stamped status 0 —
+// the client gave up before the response was usable — which routes it to
+// the notable ring, exactly as a live node's failed response write does.
+func (c *Cluster) finish(rs *request, node, status int, drop string) {
 	rec := flight.Record{
 		AtSeconds:        rs.issued.ToSeconds(),
 		Node:             node,
 		ConnID:           rs.id,
 		Path:             rs.path,
 		Status:           status,
-		Bytes:            bytes,
 		Target:           -1,
 		Redirected:       rs.redirects > 0,
 		CacheHit:         rs.cacheHit,
 		PredictedSeconds: -1,
 		ParseSeconds:     rs.ph.Preprocess,
 		AnalyzeSeconds:   rs.ph.Analysis,
+		FulfillSeconds:   rs.ph.Transfer,
 		TTFBSeconds:      -1,
 		TotalSeconds:     (c.Sim.Now() - rs.issued).ToSeconds(),
+		Drop:             drop,
+		Owner:            -1,
 	}
-	if served {
+	if rs.hasTTFB {
+		rec.TTFBSeconds = (rs.ttfbAt - rs.issued).ToSeconds()
+	}
+	// The trace id is the string a metrics exemplar holds, so a burn-rate
+	// breach resolves to this record.
+	if c.cfg.Trace.Enabled() && rs.tid >= 0 {
+		rec.TraceID = strconv.FormatInt(rs.tid, 10)
+	}
+	if status != 503 {
+		rec.Bytes = rs.file.Size
+		if status == 404 {
+			rec.Bytes = errorResponseBytes
+		}
 		rec.Policy = c.policy.Name()
 		rec.Target = node
 		if rs.hasPred {
 			rec.PredictedSeconds = rs.predicted
 		}
+		cgi := rs.fetchPhase == observe.PhaseCGI
+		if rs.found && !cgi {
+			rec.Owner = rs.file.Owner
+		}
+		rec.Replicas = len(rs.file.ReplicaSet())
+		rec.Relay = rs.fetchPhase == observe.PhaseFetchNFS
+		rec.Miss = !cgi && !rs.cacheHit
 	}
-	if rs.hasTTFB {
-		rec.TTFBSeconds = (rs.ttfbAt - rs.issued).ToSeconds()
-	}
-	if c.cfg.Trace.Enabled() && rs.tid >= 0 {
-		rec.TraceID = strconv.FormatInt(rs.tid, 10)
-	}
-	r.Add(rec)
-}
-
-// traceIDOf renders rs's trace id the way flight records carry it — the
-// string a metrics exemplar must hold for the breach → flight pivot to
-// resolve. Empty when tracing is off.
-func (c *Cluster) traceIDOf(rs *request) string {
-	if !c.cfg.Trace.Enabled() || rs.tid < 0 {
-		return ""
-	}
-	return strconv.FormatInt(rs.tid, 10)
-}
-
-// flightComplete records a finished request at the node that served it.
-// A timeout is stamped status 0 — the client gave up before the response
-// was usable — which routes it to the notable ring, exactly as a live
-// node's failed response write does.
-func (c *Cluster) flightComplete(rs *request, timedOut bool) {
-	status := 200
-	bytes := rs.file.Size
-	switch {
-	case timedOut:
-		status = 0
-	case !rs.found:
-		status = 404
-		bytes = errorResponseBytes
-	}
-	c.flightEmit(rs, rs.servedBy, status, bytes, true)
+	c.obs[node].Finish(rec)
 }

@@ -65,7 +65,7 @@ func (c *Cluster) Replicate(path string, dst int, done func(bool)) {
 		err := c.cfg.Store.AddReplica(path, dst)
 		if err == nil {
 			dstNode.Cache.Insert(f.Path, f.Size)
-			c.nm[dst].rebalanceAction("add")
+			c.obs[dst].Rebalance("add")
 		}
 		finish(err == nil)
 	}
@@ -102,7 +102,7 @@ func (c *Cluster) DropReplica(path string, dst int) error {
 	if err := c.cfg.Store.DropReplica(path, dst); err != nil {
 		return err
 	}
-	c.nm[dst].rebalanceAction("drop")
+	c.obs[dst].Rebalance("drop")
 	return nil
 }
 

@@ -1,12 +1,12 @@
 package simsrv
 
 import (
-	"fmt"
 	"math"
 
 	"sweb/internal/core"
 	"sweb/internal/des"
 	"sweb/internal/model"
+	"sweb/internal/observe"
 	"sweb/internal/oracle"
 	"sweb/internal/stats"
 	"sweb/internal/storage"
@@ -51,28 +51,25 @@ func (c *Cluster) arrive(rs *request, x int) {
 	rs.entry = x
 	if !c.up[x] {
 		c.trace(rs, trace.EvRefused, x, "node down")
-		c.drop(rs, stats.DropUnavailable)
+		c.drop(rs, stats.DropUnavailable, "")
 		return
 	}
+	obs := c.obs[x]
 	if c.inflight[x] >= c.cfg.Specs[x].AcceptQueue {
-		c.trace(rs, trace.EvRefused, x, "accept capacity")
-		c.nm[x].event(trace.EvRefused)
-		c.nm[x].drop("refused")
-		c.drop(rs, stats.DropRefused)
+		obs.Event(trace.EvRefused, rs.tid, c.nowSec(), "accept capacity", "")
+		c.drop(rs, stats.DropRefused, "refused")
 		return
 	}
 	c.inflight[x]++
-	c.trace(rs, trace.EvConnected, x, "")
-	c.nm[x].event(trace.EvConnected)
+	obs.Event(trace.EvConnected, rs.tid, c.nowSec(), "", "")
 	rs.mark = c.Sim.Now()
 	// "The server parses the HTTP commands, and completes the pathname
 	// given, determining appropriate permissions along the way."
 	c.nodes[x].CPUWork(model.ActParse, c.cfg.PreprocessOps, func() {
 		d := (c.Sim.Now() - rs.mark).ToSeconds()
 		rs.ph.Preprocess += d
-		c.trace(rs, trace.EvParsed, x, "")
-		c.nm[x].event(trace.EvParsed)
-		c.nm[x].phase("parse", d)
+		obs.Event(trace.EvParsed, rs.tid, c.nowSec(), "", "")
+		obs.Phase(observe.PhaseParse, d)
 		c.analyze(rs, x)
 	})
 }
@@ -83,7 +80,7 @@ func (c *Cluster) analyze(rs *request, x int) {
 	c.nodes[x].CPUWork(model.ActSchedule, c.cfg.AnalysisOps, func() {
 		d := (c.Sim.Now() - rs.mark).ToSeconds()
 		rs.ph.Analysis += d
-		c.nm[x].phase("analyze", d)
+		c.obs[x].Phase(observe.PhaseAnalyze, d)
 		c.decide(rs, x)
 	})
 }
@@ -134,8 +131,8 @@ func (c *Cluster) decide(rs *request, x int) {
 	if target < 0 || target >= len(c.nodes) {
 		target = x
 	}
-	c.trace(rs, trace.EvAnalyzed, x, fmt.Sprintf("target=%d", target))
-	c.nm[x].event(trace.EvAnalyzed)
+	obs := c.obs[x]
+	obs.EventN(trace.EvAnalyzed, rs.tid, c.nowSec(), "target=", target)
 	if target == x {
 		if !math.IsNaN(est) && !math.IsInf(est, 0) {
 			rs.predicted = est
@@ -150,8 +147,7 @@ func (c *Cluster) decide(rs *request, x int) {
 		// response. The client keeps one connection; the cluster pays
 		// double handling (the cost the paper avoided with redirection).
 		c.tables[x].Bump(target)
-		c.trace(rs, trace.EvForwarded, x, fmt.Sprintf("to=%d", target))
-		c.nm[x].event(trace.EvForwarded)
+		obs.EventN(trace.EvForwarded, rs.tid, c.nowSec(), "to=", target)
 		rs.mark = c.Sim.Now()
 		c.nodes[x].CPUWork(model.ActSchedule, c.cfg.RedirectOps, func() {
 			rs.redirects++
@@ -159,8 +155,7 @@ func (c *Cluster) decide(rs *request, x int) {
 				// Forwarding has no second chance: the relay fails.
 				c.inflight[x]--
 				c.trace(rs, trace.EvRefused, target, "forward target down")
-				c.nm[x].drop("unavailable")
-				c.drop(rs, stats.DropUnavailable)
+				c.drop(rs, stats.DropUnavailable, "unavailable")
 				return
 			}
 			rs.ph.Redirect += (c.Sim.Now() - rs.mark).ToSeconds()
@@ -172,14 +167,12 @@ func (c *Cluster) decide(rs *request, x int) {
 	// decision does not dogpile it, charge the 302 generation, then the
 	// client follows the Location header to the new node.
 	c.tables[x].Bump(target)
-	c.trace(rs, trace.EvRedirected, x, fmt.Sprintf("to=%d", target))
+	obs.EventN(trace.EvRedirected, rs.tid, c.nowSec(), "to=", target)
 	rs.mark = c.Sim.Now()
 	c.nodes[x].CPUWork(model.ActSchedule, c.cfg.RedirectOps, func() {
 		c.inflight[x]--
 		rs.redirects++
-		c.nm[x].event(trace.EvRedirected)
-		c.nm[x].redirect(target)
-		c.nm[x].phase("redirect", (c.Sim.Now() - rs.mark).ToSeconds())
+		obs.Phase(observe.PhaseRedirect, (c.Sim.Now() - rs.mark).ToSeconds())
 		// "Twice the estimated latency of the connection between the
 		// server and the client plus the time for a server to set up a
 		// connection."
@@ -190,7 +183,7 @@ func (c *Cluster) decide(rs *request, x int) {
 			if c.up[target] {
 				// The hop is measured where the redirected connection
 				// lands, matching the live redirect_hop cell.
-				c.nm[target].phase("redirect_hop", (c.Sim.Now() - hopFrom).ToSeconds())
+				c.obs[target].Phase(observe.PhaseRedirectHop, (c.Sim.Now() - hopFrom).ToSeconds())
 			}
 			c.arrive(rs, target)
 		})
@@ -238,10 +231,9 @@ func (c *Cluster) fulfillForwarded(rs *request, x, y int) {
 	rs.servedBy = y
 	if c.inflight[y] >= c.cfg.Specs[y].AcceptQueue {
 		c.inflight[x]--
-		c.trace(rs, trace.EvRefused, y, "forward target full")
-		c.nm[y].event(trace.EvRefused)
-		c.nm[y].drop("refused")
-		c.drop(rs, stats.DropRefused)
+		c.obs[y].Event(trace.EvRefused, rs.tid, c.nowSec(), "forward target full", "")
+		rs.entry = y // the 503 record lands where the refusal happened
+		c.drop(rs, stats.DropRefused, "refused")
 		return
 	}
 	c.inflight[y]++
@@ -295,7 +287,7 @@ func (c *Cluster) fulfillForwarded(rs *request, x, y int) {
 			worker.CPUWork(model.ActFulfill, rs.demand.OpsPerByte*float64(chunk), func() {
 				c.net.InternalTransfer(y, x, chunk, func() {
 					proxy.CPUWork(model.ActFulfill, relayOpsPerByte*float64(chunk), func() {
-						c.nm[x].bytesOut += chunk
+						c.bytesOut[x] += chunk
 						if !rs.hasTTFB {
 							rs.ttfbAt, rs.hasTTFB = c.Sim.Now(), true
 						}
@@ -333,7 +325,6 @@ func (c *Cluster) fulfill(rs *request, x int) {
 	node := c.nodes[x]
 	if !rs.found {
 		// 404: a small generated body, no disk involved.
-		c.nm[x].drop("not_found")
 		rs.mark = c.Sim.Now()
 		node.CPUWork(model.ActFulfill, rs.demand.BaseOps+float64(errorResponseBytes)*rs.demand.OpsPerByte, func() {
 			c.sendOnly(rs, x, errorResponseBytes)
@@ -343,9 +334,8 @@ func (c *Cluster) fulfill(rs *request, x int) {
 	f := rs.file
 	rs.mark = c.Sim.Now()
 	if f.CGI {
-		c.trace(rs, trace.EvCGI, x, "")
-		c.nm[x].event(trace.EvCGI)
-		rs.fetchPhase = "cgi"
+		c.obs[x].Event(trace.EvCGI, rs.tid, c.nowSec(), "", "")
+		rs.fetchPhase = observe.PhaseCGI
 		// CGI: fork + compute, then stream the generated result (no
 		// static file fetch).
 		node.CPUWork(model.ActFulfill, rs.demand.BaseOps, func() {
@@ -375,7 +365,7 @@ func (c *Cluster) sendOnly(rs *request, x int, size int64) {
 		}
 		last := off+chunk >= size
 		node.CPUWork(model.ActFulfill, rs.demand.OpsPerByte*float64(chunk), func() {
-			c.nm[x].bytesOut += chunk
+			c.bytesOut[x] += chunk
 			if !rs.hasTTFB {
 				rs.ttfbAt, rs.hasTTFB = c.Sim.Now(), true
 			}
@@ -427,14 +417,12 @@ func (c *Cluster) streamFile(rs *request, x int) {
 	}
 
 	if remote && !cachedHere {
-		c.trace(rs, trace.EvFetchNFS, x, fmt.Sprintf("source=%d", source))
-		c.nm[x].event(trace.EvFetchNFS)
-		c.nm[x].replicaFetch(f.Path, source)
-		rs.fetchPhase = "fetch_nfs"
+		c.obs[x].EventN(trace.EvFetchNFS, rs.tid, c.nowSec(), "source=", source)
+		c.obs[x].ReplicaFetch(f.Path, source)
+		rs.fetchPhase = observe.PhaseFetchNFS
 	} else {
-		c.trace(rs, trace.EvFetchLocal, x, "")
-		c.nm[x].event(trace.EvFetchLocal)
-		rs.fetchPhase = "fetch_local"
+		c.obs[x].Event(trace.EvFetchLocal, rs.tid, c.nowSec(), "", "")
+		rs.fetchPhase = observe.PhaseFetchLocal
 	}
 	// fetch obtains one chunk into local memory, then calls then().
 	fetch := func(chunk int64, then func()) {
@@ -486,7 +474,7 @@ func (c *Cluster) streamFile(rs *request, x int) {
 				}
 			}
 			node.CPUWork(model.ActFulfill, rs.demand.OpsPerByte*float64(chunk), func() {
-				c.nm[x].bytesOut += chunk
+				c.bytesOut[x] += chunk
 				if !rs.hasTTFB {
 					rs.ttfbAt, rs.hasTTFB = c.Sim.Now(), true
 				}
@@ -520,15 +508,9 @@ func (c *Cluster) finishServerSide(rs *request, x int, release func()) {
 	served := (c.Sim.Now() - rs.mark).ToSeconds()
 	rs.ph.Transfer += served
 	rs.mark = c.Sim.Now()
-	c.trace(rs, trace.EvSent, x, "")
-	c.nm[x].event(trace.EvSent)
+	c.obs[x].Event(trace.EvSent, rs.tid, c.nowSec(), "", "")
 	if rs.fetchPhase != "" {
-		c.nm[x].phase(rs.fetchPhase, served)
-	}
-	if rs.hasPred {
-		// Actual t_s is the server-side portion of the lifecycle; the
-		// client-network drain the broker never modelled stays out.
-		c.nm[x].predictionTotal(rs.predicted, rs.ph.Preprocess+rs.ph.Analysis+rs.ph.Transfer)
+		c.obs[x].Phase(rs.fetchPhase, served)
 	}
 	release()
 	c.inflight[x]--
@@ -540,28 +522,18 @@ func (c *Cluster) complete(rs *request) {
 	resp := (c.Sim.Now() - rs.issued).ToSeconds()
 	c.outstanding--
 	c.lastDone = c.Sim.Now()
-	if resp > c.cfg.ClientTimeout.ToSeconds() {
+	status, drop := 200, ""
+	switch {
+	case resp > c.cfg.ClientTimeout.ToSeconds():
 		c.trace(rs, trace.EvTimedOut, rs.servedBy, "")
-		c.nm[rs.servedBy].drop("timeout")
-		c.flightComplete(rs, true)
+		status, drop = 0, "timeout"
 		c.res.RecordDrop(stats.DropTimeout)
-		return
+	case !rs.found:
+		status, drop = 404, "not_found"
 	}
-	c.trace(rs, trace.EvDelivered, rs.servedBy, "")
-	// Same exemplar rule as the live node: the trace id of the most recent
-	// traced success stays on the bucket it landed in, timestamped in
-	// virtual micros, so a burn-rate breach resolves to a flight record.
-	nowMicros := int64(c.Sim.Now().ToSeconds() * 1e6)
-	tid := c.traceIDOf(rs)
-	c.nm[rs.servedBy].response.ObserveExemplar(resp, tid, nowMicros)
-	if rs.hasTTFB {
-		c.nm[rs.servedBy].ttfb.ObserveExemplar((rs.ttfbAt - rs.issued).ToSeconds(), tid, nowMicros)
+	if status != 0 {
+		c.trace(rs, trace.EvDelivered, rs.servedBy, "")
+		c.res.RecordSuccess(resp, rs.servedBy, rs.redirects > 0, rs.ph)
 	}
-	c.flightComplete(rs, false)
-	// Heat counts fulfilled document serves only — the same event the
-	// live handler observes — so both substrates fill identical sketches.
-	if rs.found {
-		c.heatObserve(rs, resp)
-	}
-	c.res.RecordSuccess(resp, rs.servedBy, rs.redirects > 0, rs.ph)
+	c.finish(rs, rs.servedBy, status, drop)
 }

@@ -25,13 +25,14 @@ import (
 
 	"sweb/internal/metrics"
 	"sweb/internal/monitor"
+	"sweb/internal/observe"
 )
 
 // ResponseFamily is the histogram family objectives are evaluated against.
-const ResponseFamily = "sweb_response_seconds"
+const ResponseFamily = observe.Response
 
 // dropsFamily counts refused/failed requests by cause.
-const dropsFamily = "sweb_drops_total"
+const dropsFamily = observe.Drops
 
 // clientCauses are drop causes attributable to the client's own request;
 // they consume no error budget.

@@ -300,17 +300,3 @@ func (s *Store) BytesByOwner() []int64 {
 	}
 	return out
 }
-
-// BytesByReplica returns the per-node disk bytes including extra replicas
-// — what each node's disk actually holds.
-func (s *Store) BytesByReplica() []int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]int64, s.nodes)
-	for _, f := range s.files {
-		for _, r := range f.ReplicaSet() {
-			out[r] += f.Size
-		}
-	}
-	return out
-}

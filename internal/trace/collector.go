@@ -74,14 +74,6 @@ func (s Span) Start() float64 {
 	return s.Events[0].At
 }
 
-// End returns the span's last event time (0 for an empty span).
-func (s Span) End() float64 {
-	if len(s.Events) == 0 {
-		return 0
-	}
-	return s.Events[len(s.Events)-1].At
-}
-
 // Nodes returns the distinct server nodes (>= 0) the span touched,
 // ascending.
 func (s Span) Nodes() []int {
