@@ -69,6 +69,10 @@ func liveFlightDumps(t *testing.T) []flight.Dump {
 	if res, err := client.Get("/no-such-file.html"); err != nil || res.Status != 404 {
 		t.Fatalf("404 get: res=%+v err=%v", res, err)
 	}
+	// A client holds its response before the node files the record.
+	for _, srv := range cl.Servers {
+		srv.Settle(0)
+	}
 	dumps := make([]flight.Dump, 0, len(cl.Servers))
 	for _, srv := range cl.Servers {
 		d, err := live.Flight(srv.Addr())
@@ -82,7 +86,8 @@ func liveFlightDumps(t *testing.T) []flight.Dump {
 
 // servedRecord picks a healthy scheduled record: both substrates produce
 // them with the same omitempty behaviour (policy present, trace id and
-// notable class absent), so their JSON key sets must match exactly.
+// notable class absent), so their JSON key sets must match exactly — save
+// the broker's cost table, which only a live node records.
 func servedRecord(recs []flight.Record) *flight.Record {
 	for i, r := range recs {
 		if r.Status == 200 && r.Policy != "" && r.Notable == "" {
@@ -157,6 +162,13 @@ func TestSimLiveFlightParity(t *testing.T) {
 		t.Fatalf("served records must carry a target: sim=%d live=%d",
 			simRec.Target, liveRec.Target)
 	}
+	if simRec.Candidates != nil {
+		t.Fatalf("sim record carries a cost table: %+v", simRec.Candidates)
+	}
+	if len(liveRec.Candidates) != len(liveD) {
+		t.Fatalf("live cost table has %d rows, want one per node (%d)", len(liveRec.Candidates), len(liveD))
+	}
+	liveRec.Candidates = nil
 	sk, lk := recordKeys(t, *simRec), recordKeys(t, *liveRec)
 	if !reflect.DeepEqual(sk, lk) {
 		t.Fatalf("record schemas diverge:\nsim:  %v\nlive: %v", sk, lk)

@@ -63,6 +63,10 @@ func liveHeatDumps(t *testing.T) []heat.Dump {
 			t.Fatalf("get %s: res=%+v err=%v", p, res, err)
 		}
 	}
+	// A client holds its response before the node feeds the sketch.
+	for _, srv := range cl.Servers {
+		srv.Settle(0)
+	}
 	dumps := make([]heat.Dump, 0, len(cl.Servers))
 	for _, srv := range cl.Servers {
 		d, err := live.Heat(srv.Addr())

@@ -13,17 +13,22 @@ import (
 // can measure time-to-first-byte and per-response byte counts without the
 // fulfillment paths knowing: the instant the first byte of a response
 // reaches the wire is recorded regardless of which path (simple, stream,
-// chunked) produced it. Only the handler goroutine writes, so the fields
-// need no lock.
+// chunked) produced it. lastWrite is taken as the final write is issued,
+// so a "sent" stamped from it precedes the client's receipt of the last
+// byte. Only the handler goroutine writes, so the fields need no lock.
 type writeMeter struct {
 	net.Conn
 	firstWrite time.Time
+	lastWrite  time.Time
 	written    int64
 }
 
 func (w *writeMeter) Write(p []byte) (int, error) {
-	if w.firstWrite.IsZero() && len(p) > 0 {
-		w.firstWrite = time.Now()
+	if len(p) > 0 {
+		w.lastWrite = time.Now()
+		if w.firstWrite.IsZero() {
+			w.firstWrite = w.lastWrite
+		}
 	}
 	n, err := w.Conn.Write(p)
 	w.written += int64(n)
@@ -33,6 +38,7 @@ func (w *writeMeter) Write(p []byte) (int, error) {
 // reset arms the meter for the next request on the connection.
 func (w *writeMeter) reset() {
 	w.firstWrite = time.Time{}
+	w.lastWrite = time.Time{}
 	w.written = 0
 }
 

@@ -289,7 +289,7 @@ func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time) (fl fli
 	fl.FulfillSeconds = done.Sub(tFulfill).Seconds()
 	s.obs.Phase(phase, fl.FulfillSeconds)
 	if fl.Status > 0 {
-		s.obs.EventN(trace.EvSent, tid, s.sinceEpoch(done), "status=", fl.Status)
+		s.obs.EventN(trace.EvSent, tid, s.sinceEpoch(rc.meter.lastWrite), "status=", fl.Status)
 	}
 	// The document-heat inputs: the same fields the simulator's complete()
 	// fills, so both substrates feed identical sketches.

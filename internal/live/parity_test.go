@@ -105,6 +105,10 @@ func liveObserved(t *testing.T) observed {
 		time.Sleep(20 * time.Millisecond)
 	}
 	cl.StopMonitor()
+	// A client holds its response before the node files the record.
+	for _, srv := range cl.Servers {
+		srv.Settle(0)
+	}
 	o := observed{name: "live", mon: mon}
 	for _, srv := range cl.Servers {
 		fd, err := Flight(srv.Addr())

@@ -136,7 +136,13 @@ func TestAccessLogRecordsErrorsAndRedirects(t *testing.T) {
 	if status, _, _, err := fetchOnce(servers[0].Addr(), "/nope", 5*time.Second, 1<<20); err != nil || status != 404 {
 		t.Fatalf("status=%d err=%v", status, err)
 	}
-	// 302: ask node 0 for a file owned by node 1 under file locality.
+	// 302: ask node 0 for a file owned by node 1 under file locality, once
+	// node 0 has heard node 1 (it never redirects to an unknown peer).
+	for end := time.Now().Add(5 * time.Second); len(servers[0].Table().Known()) < 2; time.Sleep(20 * time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatalf("node 0 knows %v, want both nodes", servers[0].Table().Known())
+		}
+	}
 	var owned1 string
 	for _, p := range st.Paths() {
 		if o, _ := st.Owner(p); o == 1 {

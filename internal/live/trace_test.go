@@ -185,6 +185,11 @@ func TestSimLiveParity(t *testing.T) {
 	if _, err := client.Get(livePaths[1]); err != nil {
 		t.Fatal(err)
 	}
+	// The client holds the body before the serving node records "sent":
+	// wait for both hops to be finalized before reading the stream.
+	for _, srv := range cl.Servers {
+		srv.Settle(1)
+	}
 	liveKinds := singleSpanKinds(t, rec, "live")
 
 	// Sim: same topology, same policy, one arrival for the same document
