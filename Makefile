@@ -3,7 +3,7 @@ GO ?= go
 # Packages with concurrent live-cluster paths; kept race-clean.
 RACE_PKGS = ./internal/httpd/... ./internal/httpmsg/... ./internal/loadd/... ./internal/live/... ./internal/retry/... ./internal/metrics/... ./internal/monitor/... ./internal/cache/... ./internal/flight/... ./internal/slo/... ./internal/heat/... ./internal/rebalance/... ./internal/observe/...
 
-.PHONY: build test vet race stress fmt-check check bench bench-compare
+.PHONY: build test vet race stress fmt-check check bench bench-compare sim-ref
 
 build:
 	$(GO) build ./...
@@ -42,3 +42,14 @@ bench:
 # metric regressing more than 20%.
 bench-compare:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x . | $(GO) run ./cmd/benchjson -compare BENCH_sim.json
+
+# The DES exactness gate. perfbench exits 0 even when the simulator drifts,
+# so read its verdict: the sim-table1 ladder for seeds 0-2 must reproduce
+# perfbench/sim_reference.json ("correct":true) with no failed rung.
+sim-ref:
+	@for s in 0 1 2; do \
+		line="$$(bash perfbench/run.sh --workload sim-table1 --seed $$s --seconds 1 --trace 0 | tail -n 1)"; \
+		echo "seed $$s: $$line"; \
+		case "$$line" in *'"correct":true,'*'"failed":0,'*) ;; \
+		*) echo "sim-ref: seed $$s does not reproduce the reference"; exit 1 ;; esac; \
+	done

@@ -95,18 +95,30 @@ func (s *Simulator) Pending() int { return len(s.events) }
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it would silently reorder causality, which is always a bug in the caller.
 func (s *Simulator) At(t Time, fn func()) *Event {
-	if t < s.now {
-		panic(fmt.Sprintf("des: scheduling event at %v before now %v", t, s.now))
-	}
-	e := &Event{at: t, seq: s.seq, fn: fn}
-	s.seq++
-	heap.Push(&s.events, e)
+	e := &Event{index: -1}
+	s.rearm(e, t, fn)
 	return e
 }
 
 // After schedules fn to run d microseconds from now. Negative d panics.
 func (s *Simulator) After(d Time, fn func()) *Event {
 	return s.At(s.now+d, fn)
+}
+
+// rearm (re)schedules e, queued or not, to run fn at t with a fresh
+// sequence number: the tie order Cancel then At gives, without allocating
+// when the caller owns e.
+func (s *Simulator) rearm(e *Event, t Time, fn func()) {
+	if t < s.now {
+		panic(fmt.Sprintf("des: scheduling event at %v before now %v", t, s.now))
+	}
+	e.at, e.seq, e.fn = t, s.seq, fn
+	s.seq++
+	if e.index >= 0 {
+		heap.Fix(&s.events, e.index)
+	} else {
+		heap.Push(&s.events, e)
+	}
 }
 
 // Cancel removes a pending event. It is safe to cancel an event that has
