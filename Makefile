@@ -1,7 +1,7 @@
 GO ?= go
 
 # Packages with concurrent live-cluster paths; kept race-clean.
-RACE_PKGS = ./internal/httpd/... ./internal/httpmsg/... ./internal/loadd/... ./internal/live/... ./internal/retry/... ./internal/metrics/... ./internal/monitor/... ./internal/cache/... ./internal/flight/... ./internal/slo/... ./internal/heat/... ./internal/rebalance/... ./internal/observe/...
+RACE_PKGS = ./internal/httpd/... ./internal/httpmsg/... ./internal/loadd/... ./internal/live/... ./internal/retry/... ./internal/metrics/... ./internal/monitor/... ./internal/cache/... ./internal/flight/... ./internal/slo/... ./internal/heat/... ./internal/rebalance/... ./internal/observe/... ./internal/accesslog/...
 
 .PHONY: build test vet race stress fmt-check check bench bench-compare sim-ref
 
@@ -19,8 +19,10 @@ race:
 
 # The live packages' tests read bookkeeping a server does after the
 # response flush; twenty back-to-back runs catch any test that races it.
+# httpmsg rides along: its client transport carries every substrate's
+# client traffic.
 stress:
-	$(GO) test -count=20 ./internal/httpd/ ./internal/live/
+	$(GO) test -count=20 ./internal/httpd/ ./internal/live/ ./internal/httpmsg/
 
 # gofmt prints nothing when everything is formatted; any output fails.
 fmt-check:

@@ -26,7 +26,6 @@ import (
 
 	"sweb/internal/accesslog"
 	"sweb/internal/core"
-	"sweb/internal/heat"
 	"sweb/internal/httpd"
 	"sweb/internal/live"
 	"sweb/internal/oracle"
@@ -197,7 +196,9 @@ func run() error {
 	rebalStop := make(chan struct{})
 	if *rebalPeriod > 0 && isLeader(*id, peers) {
 		fmt.Printf("swebd: node %d is the rebalance leader (period %s)\n", *id, *rebalPeriod)
-		go runRebalancer(store, peers, *rebalPeriod, rebalStop)
+		go live.NewRebalancer(rebalance.Defaults(), store, peers).Run(*rebalPeriod, rebalStop, func(err error) {
+			fmt.Fprintln(os.Stderr, "swebd:", err)
+		})
 	}
 	if *pprofAddr != "" {
 		// The SWEB listener is a from-scratch HTTP/1.0 server; pprof needs
@@ -316,65 +317,6 @@ func isLeader(id int, peers []httpd.Peer) bool {
 		}
 	}
 	return true
-}
-
-// runRebalancer is the leader's control loop: each period it scrapes
-// every peer's /sweb/heat, merges the sketches into the cluster view,
-// asks the controller for actions, and broadcasts each action to every
-// reachable node via /sweb/replicate — the addressed node moves the
-// bytes, the rest update their routing maps. For adds the addressed node
-// goes first (materialize-then-announce); for drops it goes last, so
-// peers stop routing at the copy before it disappears.
-func runRebalancer(store *storage.Store, peers []httpd.Peer, period time.Duration, stop chan struct{}) {
-	ctrl := rebalance.New(rebalance.Defaults())
-	t := time.NewTicker(period)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-		}
-		var dumps []heat.Dump
-		up := make(map[int]bool)
-		for _, p := range peers {
-			d, err := live.Heat(p.HTTPAddr)
-			if err != nil {
-				continue
-			}
-			up[p.ID] = true
-			dumps = append(dumps, *d)
-		}
-		acts := ctrl.Tick(heat.Merge(dumps), store, func(n int) bool { return up[n] })
-		for _, act := range acts {
-			ordered := make([]httpd.Peer, 0, len(peers))
-			var addressed []httpd.Peer
-			for _, p := range peers {
-				if !up[p.ID] {
-					continue
-				}
-				if p.ID == act.Node {
-					addressed = append(addressed, p)
-					continue
-				}
-				ordered = append(ordered, p)
-			}
-			if act.Kind == "add" {
-				ordered = append(addressed, ordered...)
-			} else {
-				ordered = append(ordered, addressed...)
-			}
-			for _, p := range ordered {
-				if _, err := live.ReplicateCmd(p.HTTPAddr, act.Path, act.Node, act.Kind); err != nil {
-					fmt.Fprintf(os.Stderr, "swebd: rebalance %s %s@%d via node %d: %v\n",
-						act.Kind, act.Path, act.Node, p.ID, err)
-					if p.ID == act.Node && act.Kind == "add" {
-						break // the copy never landed; don't announce it
-					}
-				}
-			}
-		}
-	}
 }
 
 // parsePeers parses "0=host:port/host:port,1=...".

@@ -15,11 +15,9 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
 	"strings"
 	"sync"
@@ -67,8 +65,11 @@ func main() {
 	total := *rps * *seconds
 	outcomes := make([]outcome, total)
 
-	pool := newConnPool(*keepAlive)
-	defer pool.closeAll()
+	// Park idle connections per server address so that a generator
+	// goroutine's next request — including the follow-up after a
+	// redirect — skips the TCP handshake.
+	pool := httpmsg.NewPool(64, httpmsg.Dialer(*timeout))
+	defer pool.Close()
 
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -85,8 +86,16 @@ func main() {
 			go func() {
 				defer wg.Done()
 				t0 := time.Now()
-				ok, redirected, ttfb := fetch(pool, host, path, *timeout)
-				outcomes[i] = outcome{ok: ok, redirected: redirected, elapsed: time.Since(t0), ttfb: ttfb}
+				f, err := pool.Get(host, path, *keepAlive, *timeout, 128<<20)
+				if err != nil {
+					outcomes[i] = outcome{elapsed: time.Since(t0), ttfb: -1}
+					return
+				}
+				// TTFB is the final hop's first byte measured from the
+				// fetch's start — redirect round-trips included, since that
+				// is the wait the user actually saw.
+				outcomes[i] = outcome{ok: f.StatusCode == httpmsg.StatusOK, redirected: f.Redirected,
+					elapsed: time.Since(t0), ttfb: f.FirstByte.Sub(t0)}
 			}()
 		}
 		if sec < *seconds-1 {
@@ -166,148 +175,4 @@ func splitNonEmpty(s string) []string {
 		}
 	}
 	return out
-}
-
-// pconn is one parked keep-alive connection with its response parser.
-type pconn struct {
-	c  net.Conn
-	br *bufio.Reader
-}
-
-// connPool parks idle keep-alive connections per server address so that a
-// generator goroutine's next request — including the follow-up after a
-// redirect — skips the TCP handshake. With keepAlive off it parks nothing
-// and every fetch dials fresh.
-type connPool struct {
-	mu        sync.Mutex
-	idle      map[string][]*pconn
-	keepAlive bool
-}
-
-func newConnPool(keepAlive bool) *connPool {
-	return &connPool{idle: make(map[string][]*pconn), keepAlive: keepAlive}
-}
-
-func (p *connPool) get(addr string) *pconn {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	list := p.idle[addr]
-	if len(list) == 0 {
-		return nil
-	}
-	pc := list[len(list)-1]
-	p.idle[addr] = list[:len(list)-1]
-	return pc
-}
-
-func (p *connPool) put(addr string, pc *pconn) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.keepAlive || len(p.idle[addr]) >= 64 {
-		pc.c.Close()
-		return
-	}
-	p.idle[addr] = append(p.idle[addr], pc)
-}
-
-func (p *connPool) closeAll() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for addr, list := range p.idle {
-		for _, pc := range list {
-			pc.c.Close()
-		}
-		delete(p.idle, addr)
-	}
-}
-
-// exchangeOnce runs one request/response on addr, pooled connection first
-// with a fresh-dial retry when the parked one went stale. The returned
-// time is when the response's first byte arrived.
-func exchangeOnce(pool *connPool, addr string, req *httpmsg.Request, timeout time.Duration) (*httpmsg.Response, time.Time, error) {
-	if pc := pool.get(addr); pc != nil {
-		if resp, firstByte, err := tryExchange(pc, req, timeout); err == nil {
-			finishExchange(pool, addr, pc, resp)
-			return resp, firstByte, nil
-		}
-		pc.c.Close()
-	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, time.Time{}, err
-	}
-	pc := &pconn{c: conn, br: bufio.NewReader(conn)}
-	resp, firstByte, err := tryExchange(pc, req, timeout)
-	if err != nil {
-		pc.c.Close()
-		return nil, time.Time{}, err
-	}
-	finishExchange(pool, addr, pc, resp)
-	return resp, firstByte, nil
-}
-
-func tryExchange(pc *pconn, req *httpmsg.Request, timeout time.Duration) (*httpmsg.Response, time.Time, error) {
-	_ = pc.c.SetDeadline(time.Now().Add(timeout))
-	if err := req.Write(pc.c); err != nil {
-		return nil, time.Time{}, err
-	}
-	// Peek blocks until the first response byte is readable — the honest
-	// client-side TTFB instant — without consuming it from the parser.
-	if _, err := pc.br.Peek(1); err != nil {
-		return nil, time.Time{}, err
-	}
-	firstByte := time.Now()
-	resp, err := httpmsg.ReadResponse(pc.br, 128<<20)
-	return resp, firstByte, err
-}
-
-// finishExchange parks the connection when the response framing left it
-// positioned at the next response; otherwise the connection is spent.
-func finishExchange(pool *connPool, addr string, pc *pconn, resp *httpmsg.Response) {
-	if resp.KeepAlive() && resp.SelfDelimited() {
-		pool.put(addr, pc)
-	} else {
-		pc.c.Close()
-	}
-}
-
-// fetch performs one GET, following up to 4 redirects. ttfb is the final
-// hop's first response byte measured from the fetch's start — redirect
-// round-trips included, since that is the wait the user actually saw.
-func fetch(pool *connPool, addr, pathAndQuery string, timeout time.Duration) (ok, redirected bool, ttfb time.Duration) {
-	start := time.Now()
-	for hop := 0; hop < 4; hop++ {
-		p, q := pathAndQuery, ""
-		if i := strings.IndexByte(pathAndQuery, '?'); i >= 0 {
-			p, q = pathAndQuery[:i], pathAndQuery[i+1:]
-		}
-		if dp, err := httpmsg.DecodePath(p); err == nil {
-			p = dp // redirect Locations arrive percent-escaped
-		}
-		req := &httpmsg.Request{Method: "GET", Path: p, Query: q, Header: httpmsg.Header{}}
-		if pool.keepAlive {
-			req.Proto = "HTTP/1.1"
-			req.Header.Set("Connection", "keep-alive")
-		}
-		resp, firstByte, err := exchangeOnce(pool, addr, req, timeout)
-		if err != nil {
-			return false, redirected, -1
-		}
-		if resp.StatusCode == httpmsg.StatusMovedTemporarily {
-			loc := resp.Header.Get("Location")
-			rest, found := strings.CutPrefix(loc, "http://")
-			if !found {
-				return false, redirected, -1
-			}
-			redirected = true
-			if slash := strings.IndexByte(rest, '/'); slash >= 0 {
-				addr, pathAndQuery = rest[:slash], rest[slash:]
-			} else {
-				addr, pathAndQuery = rest, "/"
-			}
-			continue
-		}
-		return resp.StatusCode == httpmsg.StatusOK, redirected, firstByte.Sub(start)
-	}
-	return false, redirected, -1
 }

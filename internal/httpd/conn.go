@@ -57,6 +57,7 @@ type reqConn struct {
 	keepAlive bool   // whether the connection survives the current response
 	served    int    // requests answered on this connection so far
 	drop      string // the current request's drop cause, "" while healthy
+	body      int64  // body bytes of the current response, for the access log
 }
 
 // connHeader renders the Connection header for the loop's current decision.
@@ -79,6 +80,7 @@ func (rc *reqConn) simple(code int, h httpmsg.Header, body []byte) error {
 	if err != nil {
 		rc.keepAlive = false
 	}
+	rc.body = int64(len(body))
 	return err
 }
 
@@ -141,7 +143,7 @@ func (s *Server) serveConn(c net.Conn, ci *connInfo) (busy bool) {
 		}
 		s.busyAdd(1)
 		w.reset()
-		rc.drop = ""
+		rc.drop, rc.body = "", 0
 		t0 := time.Now()
 		_ = c.SetReadDeadline(t0.Add(connTimeout))
 		req, err := httpmsg.ReadRequest(rc.br)
@@ -154,7 +156,6 @@ func (s *Server) serveConn(c net.Conn, ci *connInfo) (busy bool) {
 			_ = c.SetWriteDeadline(time.Now().Add(connTimeout))
 			_ = rc.simple(httpmsg.StatusBadRequest, nil,
 				httpmsg.ErrorBody(httpmsg.StatusBadRequest, err.Error()))
-			s.logAccess(c, nil, httpmsg.StatusBadRequest, -1)
 			fl = flight.Record{Path: "(unparsed)", Status: httpmsg.StatusBadRequest,
 				Target: -1, Owner: -1, PredictedSeconds: -1}
 		} else {
@@ -175,7 +176,7 @@ func (s *Server) serveConn(c net.Conn, ci *connInfo) (busy bool) {
 			s.reqActive.Add(-1)
 		}
 		if ok {
-			s.finish(rc, fl, t0)
+			s.finish(rc, req, fl, t0)
 		}
 		if !rc.keepAlive || s.isDraining() {
 			return true

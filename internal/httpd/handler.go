@@ -198,7 +198,6 @@ func (s *Server) handle(rc *reqConn, req *httpmsg.Request, t0 time.Time) (fl fli
 		s.notFound.Add(1)
 		_ = rc.simple(httpmsg.StatusNotFound, nil,
 			httpmsg.ErrorBody(httpmsg.StatusNotFound, "The requested URL was not found on this server."))
-		s.logAccess(rc.c, req, httpmsg.StatusNotFound, -1)
 		fl.Status = httpmsg.StatusNotFound
 		return fl, !internal
 	}
@@ -327,7 +326,6 @@ func (s *Server) redirect(rc *reqConn, req *httpmsg.Request, peer Peer, redirect
 	s.redirected.Add(1)
 	s.obs.EventN(trace.EvRedirected, tid, s.sinceEpoch(tSent), "to=", peer.ID)
 	s.obs.Phase(observe.PhaseRedirect, tSent.Sub(tAnalyzed).Seconds())
-	s.logAccess(rc.c, req, httpmsg.StatusMovedTemporarily, -1)
 	return httpmsg.StatusMovedTemporarily
 }
 
@@ -558,7 +556,7 @@ func (s *Server) openFailed(rc *reqConn, err error) int {
 }
 
 // notModified answers a conditional GET whose document is unchanged.
-func (s *Server) notModified(rc *reqConn, req *httpmsg.Request, lastModified string) int {
+func (s *Server) notModified(rc *reqConn, lastModified string) int {
 	h := httpmsg.Header{}
 	if lastModified != "" {
 		h.Set("Last-Modified", lastModified)
@@ -568,7 +566,6 @@ func (s *Server) notModified(rc *reqConn, req *httpmsg.Request, lastModified str
 		return 0
 	}
 	s.served.Add(1)
-	s.logAccess(rc.c, req, httpmsg.StatusNotModified, -1)
 	return httpmsg.StatusNotModified
 }
 
@@ -597,7 +594,7 @@ func (s *Server) readLocalFile(path string) (cache.Entry, error) {
 // diskActive — the whole point of the hit path.
 func (s *Server) writeEntry(rc *reqConn, req *httpmsg.Request, ent cache.Entry) int {
 	if !ent.ModTime.IsZero() && httpmsg.NotModified(req.Header.Get("If-Modified-Since"), ent.ModTime) {
-		return s.notModified(rc, req, httpmsg.FormatHTTPDate(ent.ModTime))
+		return s.notModified(rc, httpmsg.FormatHTTPDate(ent.ModTime))
 	}
 	return s.streamResponse(rc, req, int64(len(ent.Body)), bytes.NewReader(ent.Body), ent.ModTime)
 }
@@ -626,7 +623,7 @@ func (s *Server) streamLocalFile(rc *reqConn, req *httpmsg.Request) int {
 	// sends If-Modified-Since and gets a body-less 304 if the document is
 	// unchanged — the cheapest response the 1996 server knows.
 	if httpmsg.NotModified(req.Header.Get("If-Modified-Since"), fi.ModTime()) {
-		return s.notModified(rc, req, httpmsg.FormatHTTPDate(fi.ModTime()))
+		return s.notModified(rc, httpmsg.FormatHTTPDate(fi.ModTime()))
 	}
 	// The body streams straight from the open *os.File through a pooled
 	// copy buffer — the document is never materialized in one allocation.
@@ -667,7 +664,7 @@ func (s *Server) serveRemoteFile(rc *reqConn, req *httpmsg.Request, file storage
 		return cache.Entry{Path: req.Path, Body: resp.Body, ModTime: lastModified(resp.Header)}, nil
 	})
 	if err != nil {
-		return s.degrade503(rc, req)
+		return s.degrade503(rc)
 	}
 	return s.writeEntry(rc, req, ent)
 }
@@ -699,14 +696,13 @@ func (s *Server) rankedSources(path string, file storage.File) []fetchSource {
 
 // degrade503 answers the degradation ladder's last rung: the owner stayed
 // unreachable through the whole retry budget.
-func (s *Server) degrade503(rc *reqConn, req *httpmsg.Request) int {
+func (s *Server) degrade503(rc *reqConn) int {
 	rc.fault("owner_unreachable")
 	s.fetchFailed.Add(1)
 	h := httpmsg.Header{}
 	h.Set("Retry-After", s.retryAfterSeconds())
 	_ = rc.simple(httpmsg.StatusServiceUnavailable, h,
 		httpmsg.ErrorBody(httpmsg.StatusServiceUnavailable, "owner unreachable"))
-	s.logAccess(rc.c, req, httpmsg.StatusServiceUnavailable, -1)
 	return httpmsg.StatusServiceUnavailable
 }
 
@@ -725,7 +721,6 @@ func (s *Server) serveCGI(rc *reqConn, req *httpmsg.Request, fn CGIFunc) int {
 	}
 	s.served.Add(1)
 	s.bytesOut.Add(int64(len(body)))
-	s.logAccess(rc.c, req, httpmsg.StatusOK, int64(len(body)))
 	return httpmsg.StatusOK
 }
 
@@ -735,7 +730,7 @@ func (s *Server) serveCGI(rc *reqConn, req *httpmsg.Request, fn CGIFunc) int {
 // is unknown up front: HTTP/1.1 clients get chunked transfer coding, and
 // HTTP/1.0 clients an EOF-delimited body on a connection marked close. A
 // zero modTime omits Last-Modified. The body crosses through a pooled copy
-// buffer; a HEAD response skips it entirely and logs zero body bytes.
+// buffer; a HEAD response skips it entirely and counts zero body bytes.
 func (s *Server) streamResponse(rc *reqConn, req *httpmsg.Request, size int64, body io.Reader, modTime time.Time) int {
 	s.netActive.Add(1)
 	defer s.netActive.Add(-1)
@@ -787,6 +782,6 @@ func (s *Server) streamResponse(rc *reqConn, req *httpmsg.Request, size int64, b
 		return rc.fail()
 	}
 	s.served.Add(1)
-	s.logAccess(rc.c, req, httpmsg.StatusOK, sent)
+	rc.body = sent
 	return httpmsg.StatusOK
 }

@@ -193,12 +193,12 @@ func (s *Server) serveIntrospection(rc *reqConn, req *httpmsg.Request) int {
 		payload = s.HeatDump()
 	case "/sweb/snapshot":
 		if s.cfg.SnapshotDir == "" {
-			return s.replyError(rc, req, httpmsg.StatusServiceUnavailable,
+			return s.replyError(rc, httpmsg.StatusServiceUnavailable,
 				"No snapshot directory configured (-snapshot-dir).")
 		}
 		bundle, err := s.WriteSnapshot("manual")
 		if err != nil {
-			return s.replyError(rc, req, httpmsg.StatusInternalServerError, err.Error())
+			return s.replyError(rc, httpmsg.StatusInternalServerError, err.Error())
 		}
 		payload = map[string]string{"bundle": bundle}
 	case "/sweb/replicate":
@@ -206,7 +206,7 @@ func (s *Server) serveIntrospection(rc *reqConn, req *httpmsg.Request) int {
 	case "/sweb/metrics":
 		var buf bytes.Buffer
 		if err := s.obs.Registry().WriteText(&buf); err != nil {
-			return s.replyError(rc, req, httpmsg.StatusInternalServerError, err.Error())
+			return s.replyError(rc, httpmsg.StatusInternalServerError, err.Error())
 		}
 		body := buf.Bytes()
 		// WriteText newline-terminates every line, but guarantee the
@@ -215,9 +215,9 @@ func (s *Server) serveIntrospection(rc *reqConn, req *httpmsg.Request) int {
 		if len(body) == 0 || body[len(body)-1] != '\n' {
 			body = append(body, '\n')
 		}
-		return s.reply(rc, req, metrics.ContentType, body)
+		return s.reply(rc, metrics.ContentType, body)
 	default:
-		return s.replyError(rc, req, httpmsg.StatusNotFound, "No such introspection endpoint.")
+		return s.replyError(rc, httpmsg.StatusNotFound, "No such introspection endpoint.")
 	}
 	var b []byte
 	var err error
@@ -227,25 +227,23 @@ func (s *Server) serveIntrospection(rc *reqConn, req *httpmsg.Request) int {
 		b, err = json.Marshal(payload)
 	}
 	if err != nil {
-		return s.replyError(rc, req, httpmsg.StatusInternalServerError, err.Error())
+		return s.replyError(rc, httpmsg.StatusInternalServerError, err.Error())
 	}
-	return s.reply(rc, req, "application/json", append(b, '\n'))
+	return s.reply(rc, "application/json", append(b, '\n'))
 }
 
-// reply writes a 200 with body and logs it, returning the status written.
-func (s *Server) reply(rc *reqConn, req *httpmsg.Request, ctype string, body []byte) int {
+// reply writes a 200 with body, returning the status written.
+func (s *Server) reply(rc *reqConn, ctype string, body []byte) int {
 	h := httpmsg.Header{}
 	h.Set("Content-Type", ctype)
 	if rc.simple(httpmsg.StatusOK, h, body) != nil {
 		return 0
 	}
-	s.logAccess(rc.c, req, httpmsg.StatusOK, int64(len(body)))
 	return httpmsg.StatusOK
 }
 
-// replyError writes an error page and logs it.
-func (s *Server) replyError(rc *reqConn, req *httpmsg.Request, code int, msg string) int {
+// replyError writes an error page.
+func (s *Server) replyError(rc *reqConn, code int, msg string) int {
 	_ = rc.simple(code, nil, httpmsg.ErrorBody(code, msg))
-	s.logAccess(rc.c, req, code, -1)
 	return code
 }

@@ -6,6 +6,7 @@ import (
 
 	"sweb/internal/flight"
 	"sweb/internal/heat"
+	"sweb/internal/httpmsg"
 	"sweb/internal/metrics"
 	"sweb/internal/observe"
 )
@@ -89,9 +90,11 @@ func newObserver(s *Server) *observe.Observer {
 }
 
 // finish completes a request's record with its connection and timing
-// fields and hands it to the observer — the one place a live request is
-// finalized — then wakes Settle.
-func (s *Server) finish(rc *reqConn, fl flight.Record, t0 time.Time) {
+// fields, hands it to the observer and writes its access-log line — the
+// one place a live request is finalized — then wakes Settle. Internal
+// fetches never get here, so the log holds client requests only. req is
+// nil for a request that did not parse.
+func (s *Server) finish(rc *reqConn, req *httpmsg.Request, fl flight.Record, t0 time.Time) {
 	fl.Node = s.cfg.ID
 	fl.ConnID = rc.id
 	fl.AtSeconds = s.sinceEpoch(t0)
@@ -103,6 +106,13 @@ func (s *Server) finish(rc *reqConn, fl flight.Record, t0 time.Time) {
 	}
 	fl.Drop = rc.drop
 	s.obs.Finish(fl)
+	if fl.Status != 0 {
+		body := int64(-1)
+		if fl.Status == httpmsg.StatusOK {
+			body = rc.body
+		}
+		s.logAccess(rc.c, req, fl.Status, body)
+	}
 	s.settleMu.Lock()
 	s.finished++
 	s.settleMu.Unlock()

@@ -91,7 +91,7 @@ func queryParam(query, key string) string {
 // the rebalancer broadcasts the same call to each member. The response
 // reports the resulting replica set.
 func (s *Server) serveReplicate(rc *reqConn, req *httpmsg.Request) int {
-	fail := func(code int, msg string) int { return s.replyError(rc, req, code, msg) }
+	fail := func(code int, msg string) int { return s.replyError(rc, code, msg) }
 	path, perr := httpmsg.DecodePath(queryParam(req.Query, "path"))
 	if perr != nil {
 		return fail(httpmsg.StatusBadRequest, "bad path parameter")
@@ -128,5 +128,5 @@ func (s *Server) serveReplicate(rc *reqConn, req *httpmsg.Request) int {
 		"action":   action,
 		"replicas": s.cfg.Store.Replicas(path),
 	})
-	return s.reply(rc, req, "application/json", append(b, '\n'))
+	return s.reply(rc, "application/json", append(b, '\n'))
 }

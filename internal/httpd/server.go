@@ -19,6 +19,7 @@ import (
 	"sweb/internal/accesslog"
 	"sweb/internal/cache"
 	"sweb/internal/core"
+	"sweb/internal/httpmsg"
 	"sweb/internal/loadd"
 	"sweb/internal/metrics"
 	"sweb/internal/observe"
@@ -307,7 +308,7 @@ type Server struct {
 	idleReaped atomic.Int64
 
 	// ups pools idle internal-fetch connections per peer.
-	ups                           *upstreamPool
+	ups                           *httpmsg.Pool
 	upstreamDials, upstreamReused atomic.Int64
 
 	accepted, refused, served, redirected atomic.Int64
@@ -380,8 +381,8 @@ func New(cfg Config) (*Server, error) {
 		closed:   make(chan struct{}),
 		draining: make(chan struct{}),
 		conns:    make(map[net.Conn]*connInfo),
-		ups:      newUpstreamPool(0),
 	}
+	s.ups = s.newUpstreamPool()
 	if !cfg.CacheOff {
 		s.cache = cache.New(cfg.CacheBytes)
 	}
@@ -519,7 +520,7 @@ func (s *Server) Close() {
 	s.closeMu.Unlock()
 	s.ln.Close()
 	s.udp.Close()
-	s.ups.closeAll()
+	s.ups.Close()
 	s.closeConns()
 	s.wg.Wait()
 }

@@ -1,13 +1,8 @@
 package httpd
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"net"
-	"strconv"
-	"strings"
-	"sync"
 	"time"
 
 	"sweb/internal/httpmsg"
@@ -20,69 +15,24 @@ import (
 // reuses them; beyond that, extra connections are spent after one exchange.
 const upstreamIdlePerPeer = 4
 
-// upstream is one reusable connection to a peer's HTTP listener, with the
-// buffered reader that parses its responses.
-type upstream struct {
-	conn net.Conn
-	br   *bufio.Reader
-}
-
-func (u *upstream) Close() { _ = u.conn.Close() }
-
-// upstreamPool keeps idle internal-fetch connections per peer address, so
-// a relay burst does not pay a TCP dial per request ("NFS cross-mount"
-// traffic rides persistent connections like client traffic does).
-type upstreamPool struct {
-	mu     sync.Mutex
-	idle   map[string][]*upstream
-	cap    int
-	closed bool
-}
-
-func newUpstreamPool(perPeer int) *upstreamPool {
-	if perPeer <= 0 {
-		perPeer = upstreamIdlePerPeer
-	}
-	return &upstreamPool{idle: make(map[string][]*upstream), cap: perPeer}
-}
-
-// get pops an idle connection to addr, nil when none is parked.
-func (p *upstreamPool) get(addr string) *upstream {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	list := p.idle[addr]
-	if len(list) == 0 {
-		return nil
-	}
-	u := list[len(list)-1]
-	p.idle[addr] = list[:len(list)-1]
-	return u
-}
-
-// put parks a connection for reuse, closing it instead when the per-peer
-// cap is reached or the pool is shut down.
-func (p *upstreamPool) put(addr string, u *upstream) {
-	p.mu.Lock()
-	if p.closed || len(p.idle[addr]) >= p.cap {
-		p.mu.Unlock()
-		u.Close()
-		return
-	}
-	p.idle[addr] = append(p.idle[addr], u)
-	p.mu.Unlock()
-}
-
-// closeAll closes every parked connection and refuses new parks.
-func (p *upstreamPool) closeAll() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.closed = true
-	for addr, list := range p.idle {
-		for _, u := range list {
-			u.Close()
+// newUpstreamPool is the node's internal-fetch transport: a keep-alive
+// pool per peer address, so a relay burst does not pay a TCP dial per
+// request ("NFS cross-mount" traffic rides persistent connections like
+// client traffic does). The dial carries the DialDelay fault hook and the
+// FetchTimeout bound, and counts UpstreamDials.
+func (s *Server) newUpstreamPool() *httpmsg.Pool {
+	return httpmsg.NewPool(upstreamIdlePerPeer, func(addr string) (net.Conn, error) {
+		if delay := s.cfg.DialDelay; delay != nil {
+			if d := delay(); d > 0 {
+				time.Sleep(d)
+			}
 		}
-		delete(p.idle, addr)
-	}
+		c, err := net.DialTimeout("tcp", addr, s.cfg.FetchTimeout)
+		if err == nil {
+			s.upstreamDials.Add(1)
+		}
+		return c, err
+	})
 }
 
 // internalRequest builds the node-to-node fetch request: HTTP/1.1 with
@@ -102,95 +52,35 @@ func (s *Server) internalRequest(method, path, ims string, tctx trace.TraceID) *
 	return req
 }
 
-// openPeerStream sends one internal request and returns the connection
-// with the response header parsed and the body still unread on u.br — the
-// shape both the materializing fetch and the streaming relay start from.
-// A pooled connection is tried first; if the exchange fails on it (the
-// peer may have idle-timed it out), one fresh dial retries before the
-// error propagates.
-func (s *Server) openPeerStream(peer Peer, req *httpmsg.Request) (*upstream, *httpmsg.Response, error) {
-	if u := s.ups.get(peer.HTTPAddr); u != nil {
-		if resp, err := roundTripUpstream(u, req); err == nil {
-			s.upstreamReused.Add(1)
-			return u, resp, nil
-		}
-		u.Close() // stale pooled connection; fall through to a fresh dial
-	}
-	if delay := s.cfg.DialDelay; delay != nil {
-		if d := delay(); d > 0 {
-			time.Sleep(d)
-		}
-	}
-	c, err := net.DialTimeout("tcp", peer.HTTPAddr, s.cfg.FetchTimeout)
+// openPeerStream sends one internal request over the upstream pool and
+// returns the connection with the response header parsed and the body
+// still unread — the shape both the materializing fetch and the streaming
+// relay start from.
+func (s *Server) openPeerStream(peer Peer, req *httpmsg.Request) (*httpmsg.Conn, *httpmsg.Response, error) {
+	c, resp, err := s.ups.RoundTrip(peer.HTTPAddr, req, connTimeout)
 	if err != nil {
-		return nil, nil, fmt.Errorf("dial owner %d: %w", peer.ID, err)
-	}
-	s.upstreamDials.Add(1)
-	u := &upstream{conn: c, br: bufio.NewReader(c)}
-	resp, err := roundTripUpstream(u, req)
-	if err != nil {
-		u.Close()
 		return nil, nil, fmt.Errorf("owner %d: %w", peer.ID, err)
 	}
-	return u, resp, nil
-}
-
-// roundTripUpstream writes the request and parses the response header. The
-// deadline covers the whole exchange including the body reads that follow.
-func roundTripUpstream(u *upstream, req *httpmsg.Request) (*httpmsg.Response, error) {
-	_ = u.conn.SetDeadline(time.Now().Add(connTimeout))
-	if err := req.Write(u.conn); err != nil {
-		return nil, err
+	if c.Reused {
+		s.upstreamReused.Add(1)
 	}
-	return httpmsg.ReadResponseHeader(u.br)
-}
-
-// readUpstreamBody reads the full response body off the upstream reader.
-// reusable reports whether the framing left the connection positioned at
-// the next response (an EOF-delimited body spends it).
-func readUpstreamBody(br *bufio.Reader, resp *httpmsg.Response) (body []byte, reusable bool, err error) {
-	if resp.Chunked() {
-		body, err = io.ReadAll(httpmsg.NewChunkedReader(br))
-		return body, err == nil, err
-	}
-	if cl := resp.Header.Get("Content-Length"); cl != "" {
-		n, perr := strconv.ParseInt(strings.TrimSpace(cl), 10, 64)
-		if perr != nil || n < 0 {
-			return nil, false, fmt.Errorf("bad Content-Length %q", cl)
-		}
-		body = make([]byte, n)
-		if _, err := io.ReadFull(br, body); err != nil {
-			return nil, false, err
-		}
-		return body, true, nil
-	}
-	body, err = io.ReadAll(br)
-	return body, false, err
+	return c, resp, nil
 }
 
 // fetchFromPeer performs one internal GET against the owning node over a
 // pooled keep-alive connection and materializes the body — the cache-fill
 // path. The connection returns to the pool when its framing allows.
 func (s *Server) fetchFromPeer(peer Peer, path string, tctx trace.TraceID) (*httpmsg.Response, error) {
-	req := s.internalRequest("GET", path, "", tctx)
-	u, resp, err := s.openPeerStream(peer, req)
+	c, resp, err := s.openPeerStream(peer, s.internalRequest("GET", path, "", tctx))
 	if err != nil {
 		return nil, err
 	}
-	body, reusable, err := readUpstreamBody(u.br, resp)
-	if err != nil {
-		u.Close()
+	if err := c.ReadBody(resp, 0); err != nil {
 		return nil, fmt.Errorf("read from owner %d: %w", peer.ID, err)
-	}
-	if reusable && resp.KeepAlive() {
-		s.ups.put(peer.HTTPAddr, u)
-	} else {
-		u.Close()
 	}
 	if resp.StatusCode != httpmsg.StatusOK {
 		return nil, fmt.Errorf("owner %d returned %d", peer.ID, resp.StatusCode)
 	}
-	resp.Body = body
 	return resp, nil
 }
 
@@ -252,7 +142,7 @@ func (s *Server) fetchWithRetry(sources []fetchSource, path string, tctx trace.T
 func (s *Server) relayStream(rc *reqConn, req *httpmsg.Request, sources []fetchSource, tctx trace.TraceID) int {
 	s.internalFetch.Add(1)
 	ireq := s.internalRequest(req.Method, req.Path, req.Header.Get("If-Modified-Since"), tctx)
-	var u *upstream
+	var u *httpmsg.Conn
 	var resp *httpmsg.Response
 	var chosen fetchSource
 	err := s.fetchPolicy(len(sources)).Do(s.closed, func(attempt int) error {
@@ -271,36 +161,26 @@ func (s *Server) relayStream(rc *reqConn, req *httpmsg.Request, sources []fetchS
 		return nil
 	})
 	if err != nil {
-		return s.degrade503(rc, req)
+		return s.degrade503(rc)
 	}
 	s.table.MarkSuccess(chosen.node)
 	s.obs.ReplicaFetch(req.Path, chosen.node)
-	peer := chosen.peer
 
 	if resp.StatusCode == httpmsg.StatusNotModified {
-		s.ups.put(peer.HTTPAddr, u) // a 304 carries no body; the conn is clean
-		return s.notModified(rc, req, resp.Header.Get("Last-Modified"))
+		u.Park() // a 304 carries no body; the conn is clean
+		return s.notModified(rc, resp.Header.Get("Last-Modified"))
 	}
-
-	size := int64(-1)
-	var src io.Reader = u.br
-	if cl := resp.Header.Get("Content-Length"); cl != "" {
-		n, perr := strconv.ParseInt(strings.TrimSpace(cl), 10, 64)
-		if perr != nil || n < 0 {
-			u.Close()
-			return s.degrade503(rc, req)
-		}
-		size = n
-		src = io.LimitReader(u.br, n)
-	} else if resp.Chunked() {
-		src = httpmsg.NewChunkedReader(u.br)
+	src, size, berr := u.Body(resp)
+	if berr != nil {
+		u.Close()
+		return s.degrade503(rc)
 	}
 	status := s.streamResponse(rc, req, size, src, lastModified(resp.Header))
 	// The connection survives for reuse only when the owner's body was
 	// consumed exactly: a HEAD left nothing on the wire, a completed sized
 	// transfer drained its LimitReader. Everything else is mid-body.
-	if req.Method == "HEAD" || (status != 0 && size >= 0) {
-		s.ups.put(peer.HTTPAddr, u)
+	if resp.KeepAlive() && (req.Method == "HEAD" || (status != 0 && size >= 0)) {
+		u.Park()
 	} else {
 		u.Close()
 	}

@@ -196,13 +196,8 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 	}
 	req := &Request{Method: method, Proto: proto, Header: Header{}}
 	// Accept absolute URLs (proxy-style) by stripping the scheme+host.
-	if strings.HasPrefix(target, "http://") {
-		rest := target[len("http://"):]
-		if slash := strings.IndexByte(rest, '/'); slash >= 0 {
-			target = rest[slash:]
-		} else {
-			target = "/"
-		}
+	if _, t, ok := SplitLocation(target); ok {
+		target = t
 	}
 	if !strings.HasPrefix(target, "/") {
 		return nil, parseErrf("request target %q is not absolute", target)
@@ -358,48 +353,9 @@ func ReadResponse(br *bufio.Reader, limit int64) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	if resp.Chunked() {
-		var r io.Reader = NewChunkedReader(br)
-		if limit > 0 {
-			r = io.LimitReader(r, limit+1)
-		}
-		body, err := io.ReadAll(r)
-		if err != nil {
-			return nil, parseErrf("chunked body: %v", err)
-		}
-		if limit > 0 && int64(len(body)) > limit {
-			return nil, parseErrf("chunked response exceeds limit")
-		}
-		resp.Body = body
-		return resp, nil
-	}
-	if cl := resp.Header.Get("Content-Length"); cl != "" {
-		n, err := strconv.ParseInt(strings.TrimSpace(cl), 10, 64)
-		if err != nil || n < 0 {
-			return nil, parseErrf("bad Content-Length %q", cl)
-		}
-		if limit > 0 && n > limit {
-			return nil, parseErrf("response body of %d bytes exceeds limit", n)
-		}
-		resp.Body = make([]byte, n)
-		if _, err := io.ReadFull(br, resp.Body); err != nil {
-			return nil, parseErrf("short response body: %v", err)
-		}
-		return resp, nil
-	}
-	// HTTP/1.0 without Content-Length: body runs to EOF.
-	var r io.Reader = br
-	if limit > 0 {
-		r = io.LimitReader(br, limit+1)
-	}
-	body, err := io.ReadAll(r)
-	if err != nil {
+	if err := readBody(br, resp, limit); err != nil {
 		return nil, err
 	}
-	if limit > 0 && int64(len(body)) > limit {
-		return nil, parseErrf("unbounded response exceeds limit")
-	}
-	resp.Body = body
 	return resp, nil
 }
 

@@ -7,10 +7,8 @@
 package live
 
 import (
-	"bufio"
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -132,8 +130,8 @@ type Cluster struct {
 	peers []httpd.Peer
 	// ms is the attached cluster monitor, nil until StartMonitor.
 	ms *monitorState
-	// rb is the attached replica rebalancer, nil until StartRebalancer.
-	rb *rebalancerState
+	// rb is the attached replica rebalancer loop, nil until StartRebalancer.
+	rb *loop
 
 	// snapshotDir is the bundle destination; snapMu serializes writes and
 	// guards the cooldown clock and the written-bundle list.
@@ -387,17 +385,8 @@ type Client struct {
 	backoff   time.Duration
 	rec       *trace.Recorder
 	keepAlive bool
-	idle      map[string]*persistConn
-	closed    bool
+	pool      *httpmsg.Pool
 }
-
-// persistConn is one parked keep-alive connection with its response parser.
-type persistConn struct {
-	c  net.Conn
-	br *bufio.Reader
-}
-
-func (p *persistConn) Close() { _ = p.c.Close() }
 
 // SetTrace makes the client originate traces: every Get mints a trace id,
 // records the client-side events (issued, resolved, delivered/timed-out)
@@ -413,25 +402,24 @@ func (cl *Client) SetTrace(rec *trace.Recorder) {
 // NewClient builds a client for the cluster. The default failover budget
 // is one attempt per node plus one.
 func (c *Cluster) NewClient() *Client {
+	const timeout = 30 * time.Second
 	return &Client{
-		cluster: c, timeout: 30 * time.Second, maxBytes: 64 << 20,
+		cluster: c, timeout: timeout, maxBytes: 64 << 20,
 		attempts: len(c.Servers) + 1, backoff: 50 * time.Millisecond,
-		keepAlive: true, idle: make(map[string]*persistConn),
+		keepAlive: true, pool: httpmsg.NewPool(1, httpmsg.Dialer(timeout)),
 	}
 }
 
-// SetKeepAlive toggles connection reuse. Turning it off closes any parked
-// connections and makes every fetch a one-shot HTTP/1.0 exchange.
+// SetKeepAlive toggles connection reuse. Either way the parked
+// connections are closed and a fresh pool takes over; with reuse off
+// every fetch is a plain HTTP/1.0 request, which the server answers with
+// Connection: close, so nothing is parked again.
 func (cl *Client) SetKeepAlive(on bool) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	cl.keepAlive = on
-	if !on {
-		for addr, pc := range cl.idle {
-			pc.Close()
-			delete(cl.idle, addr)
-		}
-	}
+	cl.pool.Close()
+	cl.pool = httpmsg.NewPool(1, httpmsg.Dialer(cl.timeout))
 }
 
 // Close releases every parked keep-alive connection. The client stays
@@ -439,35 +427,7 @@ func (cl *Client) SetKeepAlive(on bool) {
 func (cl *Client) Close() {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	cl.closed = true
-	for addr, pc := range cl.idle {
-		pc.Close()
-		delete(cl.idle, addr)
-	}
-}
-
-// takeConn pops the parked connection for addr, nil when none.
-func (cl *Client) takeConn(addr string) *persistConn {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	pc := cl.idle[addr]
-	delete(cl.idle, addr)
-	return pc
-}
-
-// parkConn stores a reusable connection for addr, displacing (and closing)
-// any connection already parked there.
-func (cl *Client) parkConn(addr string, pc *persistConn) {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	if cl.closed || !cl.keepAlive {
-		pc.Close()
-		return
-	}
-	if old := cl.idle[addr]; old != nil {
-		old.Close()
-	}
-	cl.idle[addr] = pc
+	cl.pool.Close()
 }
 
 // SetRetry tunes the failover budget: total attempts across re-resolves
@@ -551,139 +511,17 @@ func appendQueryParam(pathAndQuery, kv string) string {
 // keep-alive on, the redirect hop's second request reuses the pool — when
 // the rotation has already visited the target node, no handshake is paid.
 func (cl *Client) getVia(addr, path string, start time.Time) (*Result, error) {
-	redirected := false
-	for hop := 0; hop < 4; hop++ {
-		status, hdr, body, err := cl.roundTrip(addr, path)
-		if err != nil {
-			return nil, err
-		}
-		if status == httpmsg.StatusMovedTemporarily {
-			loc := hdr.Get("Location")
-			naddr, npath, ok := splitLocation(loc)
-			if !ok {
-				return nil, fmt.Errorf("live: bad Location %q", loc)
-			}
-			addr, path = naddr, npath
-			redirected = true
-			continue
-		}
-		return &Result{
-			Status: status, Body: body, Redirected: redirected,
-			ServedBy: addr, Elapsed: time.Since(start),
-		}, nil
-	}
-	return nil, fmt.Errorf("live: too many redirects for %s", path)
-}
-
-// roundTrip performs one GET against addr. With keep-alive on it tries the
-// parked connection first (retrying once on a fresh dial if the server
-// idle-timed it out), and parks the connection back when the response
-// framing leaves it clean. With keep-alive off it is a one-shot HTTP/1.0
-// exchange.
-func (cl *Client) roundTrip(addr, pathAndQuery string) (int, httpmsg.Header, []byte, error) {
 	cl.mu.Lock()
-	ka := cl.keepAlive && !cl.closed
+	pool, keepAlive := cl.pool, cl.keepAlive
 	cl.mu.Unlock()
-	if !ka {
-		return fetchOnce(addr, pathAndQuery, cl.timeout, cl.maxBytes)
-	}
-	req := cl.buildGet(pathAndQuery, true)
-	if pc := cl.takeConn(addr); pc != nil {
-		resp, err := cl.exchange(pc, req)
-		if err == nil {
-			return cl.finish(addr, pc, resp)
-		}
-		pc.Close() // idle connection went stale under us; dial fresh
-	}
-	conn, err := net.DialTimeout("tcp", addr, cl.timeout)
+	f, err := pool.Get(addr, path, keepAlive, cl.timeout, cl.maxBytes)
 	if err != nil {
-		return 0, nil, nil, err
-	}
-	pc := &persistConn{c: conn, br: bufio.NewReader(conn)}
-	resp, err := cl.exchange(pc, req)
-	if err != nil {
-		pc.Close()
-		return 0, nil, nil, err
-	}
-	return cl.finish(addr, pc, resp)
-}
-
-// buildGet parses "/path?query" into a request; keepAlive selects the
-// HTTP/1.1 persistent form. The path is decoded first: redirect Locations
-// arrive percent-escaped, and Request.Write re-escapes on the wire.
-func (cl *Client) buildGet(pathAndQuery string, keepAlive bool) *httpmsg.Request {
-	p, q := pathAndQuery, ""
-	if i := strings.IndexByte(pathAndQuery, '?'); i >= 0 {
-		p, q = pathAndQuery[:i], pathAndQuery[i+1:]
-	}
-	if dp, err := httpmsg.DecodePath(p); err == nil {
-		p = dp
-	}
-	req := &httpmsg.Request{Method: "GET", Path: p, Query: q, Header: httpmsg.Header{}}
-	if keepAlive {
-		req.Proto = "HTTP/1.1"
-		req.Header.Set("Connection", "keep-alive")
-	}
-	return req
-}
-
-// exchange writes one request and reads the full response off pc.
-func (cl *Client) exchange(pc *persistConn, req *httpmsg.Request) (*httpmsg.Response, error) {
-	_ = pc.c.SetDeadline(time.Now().Add(cl.timeout))
-	if err := req.Write(pc.c); err != nil {
 		return nil, err
 	}
-	return httpmsg.ReadResponse(pc.br, cl.maxBytes)
-}
-
-// finish parks pc for reuse when the response says the server is keeping
-// the connection open and the framing consumed the body exactly.
-func (cl *Client) finish(addr string, pc *persistConn, resp *httpmsg.Response) (int, httpmsg.Header, []byte, error) {
-	if resp.KeepAlive() && resp.SelfDelimited() {
-		cl.parkConn(addr, pc)
-	} else {
-		pc.Close()
-	}
-	return resp.StatusCode, resp.Header, resp.Body, nil
-}
-
-// fetchOnce performs a single HTTP/1.0 GET.
-func fetchOnce(addr, pathAndQuery string, timeout time.Duration, maxBytes int64) (int, httpmsg.Header, []byte, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(timeout))
-	p, q := pathAndQuery, ""
-	if i := strings.IndexByte(pathAndQuery, '?'); i >= 0 {
-		p, q = pathAndQuery[:i], pathAndQuery[i+1:]
-	}
-	if dp, err := httpmsg.DecodePath(p); err == nil {
-		p = dp
-	}
-	req := &httpmsg.Request{Method: "GET", Path: p, Query: q, Header: httpmsg.Header{}}
-	if err := req.Write(conn); err != nil {
-		return 0, nil, nil, err
-	}
-	resp, err := httpmsg.ReadResponse(bufio.NewReader(conn), maxBytes)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	return resp.StatusCode, resp.Header, resp.Body, nil
-}
-
-// splitLocation turns "http://host:port/path?q" into (host:port, /path?q).
-func splitLocation(loc string) (addr, path string, ok bool) {
-	rest, ok := strings.CutPrefix(loc, "http://")
-	if !ok {
-		return "", "", false
-	}
-	slash := strings.IndexByte(rest, '/')
-	if slash < 0 {
-		return rest, "/", true
-	}
-	return rest[:slash], rest[slash:], true
+	return &Result{
+		Status: f.StatusCode, Body: f.Body, Redirected: f.Redirected,
+		ServedBy: f.Addr, Elapsed: time.Since(start),
+	}, nil
 }
 
 // Post sends a POST with body to path (the footnote-1 extension).
@@ -694,17 +532,9 @@ func (cl *Client) Post(path string, body []byte) (*Result, error) {
 		return nil, err
 	}
 	addr := cl.cluster.Servers[node].Addr()
-	conn, err := net.DialTimeout("tcp", addr, cl.timeout)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(cl.timeout))
-	req := &httpmsg.Request{Method: "POST", Path: path, Header: httpmsg.Header{}, Body: body}
-	if err := req.Write(conn); err != nil {
-		return nil, err
-	}
-	resp, err := httpmsg.ReadResponse(bufio.NewReader(conn), cl.maxBytes)
+	req := httpmsg.NewRequest("POST", path, false)
+	req.Body = body
+	resp, err := httpmsg.Do(addr, req, cl.timeout, cl.maxBytes)
 	if err != nil {
 		return nil, err
 	}

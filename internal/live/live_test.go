@@ -91,11 +91,11 @@ func TestBodiesMatchDiskContent(t *testing.T) {
 // direct fetch against one specific node, no redirect following.
 func directGet(t *testing.T, addr, path string) (int, httpmsg.Header, []byte) {
 	t.Helper()
-	status, hdr, body, err := fetchOnce(addr, path, 10*time.Second, 64<<20)
+	resp, err := httpmsg.Do(addr, httpmsg.NewRequest("GET", path, false), 10*time.Second, 64<<20)
 	if err != nil {
 		t.Fatalf("GET %s from %s: %v", path, addr, err)
 	}
-	return status, hdr, body
+	return resp.StatusCode, resp.Header, resp.Body
 }
 
 func TestRemoteFetchThroughNonOwner(t *testing.T) {
@@ -337,8 +337,8 @@ func TestMaxConcurrentSheds(t *testing.T) {
 	// request; a second connection must be shed with 503.
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
-		status, _, _, err := fetchOnce(cl.Servers[0].Addr(), paths[0], time.Second, 1<<20)
-		if err == nil && status == 503 {
+		resp, err := httpmsg.Do(cl.Servers[0].Addr(), httpmsg.NewRequest("GET", paths[0], false), time.Second, 1<<20)
+		if err == nil && resp.StatusCode == 503 {
 			if cl.Servers[0].Stats().Refused == 0 {
 				t.Fatal("refused counter not incremented")
 			}
@@ -398,20 +398,6 @@ func TestMaterializeSkipsCGI(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "node0", "cgi-bin", "x.cgi")); err == nil {
 		t.Fatal("CGI endpoint materialized as a file")
-	}
-}
-
-func TestSplitLocation(t *testing.T) {
-	addr, path, ok := splitLocation("http://127.0.0.1:8080/a/b?x=1")
-	if !ok || addr != "127.0.0.1:8080" || path != "/a/b?x=1" {
-		t.Fatalf("%q %q %v", addr, path, ok)
-	}
-	if _, _, ok := splitLocation("ftp://x/y"); ok {
-		t.Fatal("non-http location accepted")
-	}
-	addr, path, ok = splitLocation("http://hostonly")
-	if !ok || addr != "hostonly" || path != "/" {
-		t.Fatalf("%q %q %v", addr, path, ok)
 	}
 }
 

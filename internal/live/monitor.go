@@ -2,7 +2,6 @@ package live
 
 import (
 	"strconv"
-	"sync"
 	"time"
 
 	"sweb/internal/monitor"
@@ -10,10 +9,8 @@ import (
 
 // monitorState holds the cluster's attached monitor and its collect loop.
 type monitorState struct {
-	mon  *monitor.Monitor
-	stop chan struct{}
-	wg   sync.WaitGroup
-	once sync.Once
+	mon     *monitor.Monitor
+	collect *loop
 }
 
 // HTTPSources builds one /sweb/metrics scrape source per node, named by
@@ -62,22 +59,9 @@ func (c *Cluster) StartMonitor(cfg monitor.Config, period time.Duration) *monito
 	for _, src := range c.HTTPSources(timeout) {
 		m.AddSource(src)
 	}
-	ms := &monitorState{mon: m, stop: make(chan struct{})}
-	c.ms = ms
-	ms.wg.Add(1)
-	go func() {
-		defer ms.wg.Done()
-		t := time.NewTicker(period)
-		defer t.Stop()
-		for {
-			select {
-			case <-ms.stop:
-				return
-			case <-t.C:
-				m.Collect(time.Since(c.epoch).Seconds())
-			}
-		}
-	}()
+	c.ms = &monitorState{mon: m, collect: startLoop(func(stop <-chan struct{}) {
+		every(period, stop, func() { m.Collect(time.Since(c.epoch).Seconds()) })
+	})}
 	return m
 }
 
@@ -92,9 +76,7 @@ func (c *Cluster) Monitor() *monitor.Monitor {
 // StopMonitor halts the collect loop; the monitor and its store remain
 // readable. Safe to call repeatedly or with no monitor attached.
 func (c *Cluster) StopMonitor() {
-	if c.ms == nil {
-		return
+	if c.ms != nil {
+		c.ms.collect.halt()
 	}
-	c.ms.once.Do(func() { close(c.ms.stop) })
-	c.ms.wg.Wait()
 }

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -22,15 +23,25 @@ import (
 // fast and are skipped.
 const scrapeTimeout = 5 * time.Second
 
-// fetchJSON fetches one node's introspection endpoint and decodes its JSON
-// answer into a T — the one scrape every typed accessor below shares.
-func fetchJSON[T any](addr, path string, maxBytes int64) (*T, error) {
-	code, _, body, err := fetchOnce(addr, path, scrapeTimeout, maxBytes)
+// scrape fetches one node's introspection endpoint over a one-shot
+// connection — the one request every accessor below shares.
+func scrape(addr, path string, maxBytes int64) ([]byte, error) {
+	resp, err := httpmsg.Do(addr, httpmsg.NewRequest("GET", path, false), scrapeTimeout, maxBytes)
 	if err != nil {
 		return nil, err
 	}
-	if code != httpmsg.StatusOK {
-		return nil, fmt.Errorf("live: %s%s returned %d", addr, path, code)
+	if resp.StatusCode != httpmsg.StatusOK {
+		return nil, fmt.Errorf("live: %s%s returned %d", addr, path, resp.StatusCode)
+	}
+	return resp.Body, nil
+}
+
+// fetchJSON scrapes one node's introspection endpoint and decodes its
+// JSON answer into a T.
+func fetchJSON[T any](addr, path string, maxBytes int64) (*T, error) {
+	body, err := scrape(addr, path, maxBytes)
+	if err != nil {
+		return nil, err
 	}
 	var v T
 	if err := json.Unmarshal(body, &v); err != nil {
@@ -103,14 +114,11 @@ func TriggerSnapshot(addr string) (string, error) {
 
 // Metrics scrapes and parses one node's /sweb/metrics exposition.
 func Metrics(addr string) ([]metrics.Sample, error) {
-	code, _, body, err := fetchOnce(addr, "/sweb/metrics", scrapeTimeout, 16<<20)
+	body, err := scrape(addr, "/sweb/metrics", 16<<20)
 	if err != nil {
 		return nil, err
 	}
-	if code != httpmsg.StatusOK {
-		return nil, fmt.Errorf("live: %s/sweb/metrics returned %d", addr, code)
-	}
-	return metrics.ParseText(strings.NewReader(string(body)))
+	return metrics.ParseText(bytes.NewReader(body))
 }
 
 // ScrapeTraces pulls every live node's event stream into a Collector —

@@ -8,6 +8,7 @@ import (
 	"sweb/internal/accesslog"
 	"sweb/internal/core"
 	"sweb/internal/httpd"
+	"sweb/internal/httpmsg"
 	"sweb/internal/simsrv"
 	"sweb/internal/storage"
 	"sweb/internal/workload"
@@ -31,9 +32,10 @@ func TestAccessLogCapturedAndReplayable(t *testing.T) {
 	if err := Materialize(st, dir, 1); err != nil {
 		t.Fatal(err)
 	}
-	// The log must hold one 200 per fetch, and fetchOnce does not follow a
-	// 302: pin every request where it arrives (MaxRedirects 0 switches the
-	// broker off) instead of letting gossip-driven SWEB decisions redirect.
+	// The log must hold one 200 per fetch, and a one-shot GET does not
+	// follow a 302: pin every request where it arrives (MaxRedirects 0
+	// switches the broker off) instead of letting gossip-driven SWEB
+	// decisions redirect.
 	params := core.DefaultParams()
 	params.MaxRedirects = 0
 	var servers []*httpd.Server
@@ -57,12 +59,16 @@ func TestAccessLogCapturedAndReplayable(t *testing.T) {
 		srv.Start()
 	}
 
-	// Drive some traffic directly at both nodes.
+	// Send every fetch to the node that does not own the document, so
+	// each relays: the owners' internal fetches must stay out of the log,
+	// which holds exactly one line per client request.
 	for i := 0; i < 8; i++ {
-		addr := servers[i%nodes].Addr()
-		status, _, _, err := fetchOnce(addr, paths[i%len(paths)], 5*time.Second, 1<<20)
-		if err != nil || status != 200 {
-			t.Fatalf("fetch %d: status=%d err=%v", i, status, err)
+		p := paths[i%len(paths)]
+		owner, _ := st.Owner(p)
+		addr := servers[(owner+1)%nodes].Addr()
+		resp, err := httpmsg.Do(addr, httpmsg.NewRequest("GET", p, false), 5*time.Second, 1<<20)
+		if err != nil || resp.StatusCode != 200 {
+			t.Fatalf("fetch %d: resp=%v err=%v", i, resp, err)
 		}
 	}
 	for _, srv := range servers {
@@ -76,8 +82,8 @@ func TestAccessLogCapturedAndReplayable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse live log: %v", err)
 	}
-	if len(entries) < 8 {
-		t.Fatalf("log has %d entries, want >= 8", len(entries))
+	if len(entries) != 8 {
+		t.Fatalf("log has %d entries, want 8 (one per client request)", len(entries))
 	}
 	for _, e := range entries {
 		if e.Status != 200 || e.Bytes != 4096 {
@@ -133,8 +139,8 @@ func TestAccessLogRecordsErrorsAndRedirects(t *testing.T) {
 		srv.Start()
 	}
 	// 404.
-	if status, _, _, err := fetchOnce(servers[0].Addr(), "/nope", 5*time.Second, 1<<20); err != nil || status != 404 {
-		t.Fatalf("status=%d err=%v", status, err)
+	if resp, err := httpmsg.Do(servers[0].Addr(), httpmsg.NewRequest("GET", "/nope", false), 5*time.Second, 1<<20); err != nil || resp.StatusCode != 404 {
+		t.Fatalf("resp=%v err=%v", resp, err)
 	}
 	// 302: ask node 0 for a file owned by node 1 under file locality, once
 	// node 0 has heard node 1 (it never redirects to an unknown peer).
@@ -149,8 +155,8 @@ func TestAccessLogRecordsErrorsAndRedirects(t *testing.T) {
 			owned1 = p
 		}
 	}
-	if status, _, _, err := fetchOnce(servers[0].Addr(), owned1, 5*time.Second, 1<<20); err != nil || status != 302 {
-		t.Fatalf("status=%d err=%v", status, err)
+	if resp, err := httpmsg.Do(servers[0].Addr(), httpmsg.NewRequest("GET", owned1, false), 5*time.Second, 1<<20); err != nil || resp.StatusCode != 302 {
+		t.Fatalf("resp=%v err=%v", resp, err)
 	}
 	servers[0].Settle(2)
 	if err := logger.Flush(); err != nil {

@@ -146,11 +146,17 @@ func TestSimLiveReplicaParity(t *testing.T) {
 	}
 
 	// --- Live substrate: same store layout, requests pinned to node 2.
+	// The idle premise needs node 2's view of both replicas to be the
+	// idle one every node announces at start: a later broadcast can carry
+	// the load of node 2's own in-flight fetch and tip the ranking, and a
+	// fetch before node 0's first broadcast lands ranks it unknown. So
+	// gossip announces once, and the fetches wait until node 2 knows
+	// every node. The owner-dead phase fails over on the data path.
 	st := replicaParityStore(t)
 	cl, err := Start(Options{
 		Nodes: 3, Store: st, BaseDir: t.TempDir(), Policy: "rr",
 		CacheOff:      true,
-		LoaddPeriod:   50 * time.Millisecond,
+		LoaddPeriod:   time.Hour,
 		FetchAttempts: 2, FetchBackoff: 5 * time.Millisecond,
 		Seed: 3,
 	})
@@ -158,6 +164,7 @@ func TestSimLiveReplicaParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	waitKnown(t, []int{2}, cl, 3, 5*time.Second)
 	client := cl.NewClient()
 	defer client.Close()
 	for i := 0; i < 6; i++ {

@@ -1,9 +1,8 @@
 package monitor
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
-	"net"
 	"strings"
 	"time"
 
@@ -44,9 +43,9 @@ func (s *RegistrySource) Scrape() ([]metrics.Sample, error) {
 	return metrics.ParseText(strings.NewReader(b.String()))
 }
 
-// HTTPSource scrapes a live node's /sweb/metrics endpoint over a raw TCP
-// dial, using the repo's own httpmsg reader rather than net/http — same
-// wire format the introspection server speaks.
+// HTTPSource scrapes a live node's /sweb/metrics endpoint with httpmsg's
+// one-shot client rather than net/http — same wire format the
+// introspection server speaks.
 type HTTPSource struct {
 	Name    string
 	Addr    string
@@ -65,24 +64,14 @@ func (s *HTTPSource) Scrape() ([]metrics.Sample, error) {
 	if path == "" {
 		path = "/sweb/metrics"
 	}
-	conn, err := net.DialTimeout("tcp", s.Addr, timeout)
+	resp, err := httpmsg.Do(s.Addr, httpmsg.NewRequest("GET", path, false), timeout, 8<<20)
 	if err != nil {
 		return nil, err
 	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(timeout))
-	if _, err := fmt.Fprintf(conn, "GET %s HTTP/1.0\r\nHost: %s\r\nConnection: close\r\n\r\n", path, s.Addr); err != nil {
-		return nil, err
-	}
-	br := bufio.NewReader(conn)
-	resp, err := httpmsg.ReadResponse(br, 8<<20)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != 200 {
+	if resp.StatusCode != httpmsg.StatusOK {
 		return nil, fmt.Errorf("monitor: scrape %s: HTTP %d", s.Addr, resp.StatusCode)
 	}
-	return metrics.ParseText(strings.NewReader(string(resp.Body)))
+	return metrics.ParseText(bytes.NewReader(resp.Body))
 }
 
 // FuncSource adapts a closure — handy for tests and synthetic feeds.
